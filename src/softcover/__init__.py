@@ -47,8 +47,6 @@ from .simulate import (
     Codebook,
     CompositionError,
     SimEstimate,
-    alpha_exact_given_codebook,
-    beta_exact_given_codebook,
     estimate_error_probs,
     exact_r0_error_probs,
     llr,

@@ -153,9 +153,11 @@ def parse_channel_spec(text: str) -> ChannelSpec:
     return ChannelSpec(values["name"], nx, ny, matrix, input_dist)
 
 
-def load_spec(path: str) -> ChannelSpec:
+def load_spec(path: str) -> tuple[ChannelSpec, str]:
+    """The parsed spec and the text it was parsed from, read once."""
     with open(path, encoding="utf-8") as fh:
-        return parse_channel_spec(fh.read())
+        text = fh.read()
+    return parse_channel_spec(text), text
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +234,7 @@ def _unit_out(x: float | None, bits: bool) -> float | None:
 
 
 def cmd_info(args) -> int:
-    spec = load_spec(args.spec)
+    spec, _ = load_spec(args.spec)
     w, p_in = spec.to_channel()
     p_out = output_marginal(p_in, w)
     i_xy = mutual_information(JointType(p_in, w.rows))
@@ -252,7 +254,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_exponent(args) -> int:
-    spec = load_spec(args.spec)
+    spec, spec_text = load_spec(args.spec)
     w, p_in = spec.to_channel()
     cfg = _cfg_from_args(args, w)
     bits = args.bits
@@ -283,7 +285,7 @@ def cmd_exponent(args) -> int:
         payload["md_minimizer"] = (None if res.minimizer is None else
                                    res.minimizer.conditional.tolist())
         requested.append(res)
-    payload["manifest"] = run_manifest("exponent", open(args.spec).read(), cfg)
+    payload["manifest"] = run_manifest("exponent", spec_text, cfg)
     print(json.dumps(payload, indent=2))
     if all(not r.feasible for r in requested):
         return 3
@@ -291,7 +293,7 @@ def cmd_exponent(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = load_spec(args.spec)
+    spec, spec_text = load_spec(args.spec)
     w, p_in = spec.to_channel()
     cfg = _cfg_from_args(args, w)
     bits = args.bits
@@ -315,12 +317,12 @@ def cmd_sweep(args) -> int:
         rows.append([_unit_out(tau, bits), _unit_out(fa.value, bits),
                      _unit_out(md.value, bits), fa_tag.value, md_tag.value])
     write_csv(args.out, ["tau", "e_fa", "e_md", "fa_region", "md_region"], rows)
-    write_manifest(args.out, run_manifest("sweep", open(args.spec).read(), cfg))
+    write_manifest(args.out, run_manifest("sweep", spec_text, cfg))
     return 0
 
 
 def cmd_phase(args) -> int:
-    spec = load_spec(args.spec)
+    spec, spec_text = load_spec(args.spec)
     w, p_in = spec.to_channel()
     cfg = _cfg_from_args(args, w)
     bits = args.bits
@@ -345,12 +347,12 @@ def cmd_phase(args) -> int:
     write_csv(args.out,
               ["rate", "i_xy", "tau_flat", "fa_flat_value", "lambda_min",
                "lambda_max", "tau_star", "tau_kink"], rows)
-    write_manifest(args.out, run_manifest("phase", open(args.spec).read(), cfg))
+    write_manifest(args.out, run_manifest("phase", spec_text, cfg))
     return 0
 
 
 def cmd_tradeoff(args) -> int:
-    spec = load_spec(args.spec)
+    spec, spec_text = load_spec(args.spec)
     w, p_in = spec.to_channel()
     cfg = _cfg_from_args(args, w)
     bits = args.bits
@@ -368,14 +370,14 @@ def cmd_tradeoff(args) -> int:
     env_path = args.out + "_envelope.csv"
     write_csv(raw_path, ["tau", "e_fa", "e_md"], raw_rows)
     write_csv(env_path, ["e_fa", "e_md"], env_rows)
-    manifest = run_manifest("tradeoff", open(args.spec).read(), cfg)
+    manifest = run_manifest("tradeoff", spec_text, cfg)
     write_manifest(raw_path, manifest)
     write_manifest(env_path, manifest)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    spec = load_spec(args.spec)
+    spec, spec_text = load_spec(args.spec)
     w, p_in = spec.to_channel()
     bits = args.bits
     tau = _unit_in(args.tau, bits)
@@ -399,7 +401,7 @@ def cmd_simulate(args) -> int:
         trials = args.trials
     rows = [[t, a, b] for t, (a, b) in enumerate(pairs)]
     write_csv(args.out, ["trial", "alpha", "beta"], rows)
-    manifest = run_manifest("simulate", open(args.spec).read(), None,
+    manifest = run_manifest("simulate", spec_text, None,
                             seed=args.seed)
     write_manifest(args.out, manifest)
     summary = {

@@ -7,9 +7,13 @@ user seed; trial ``t`` of a Monte Carlo run draws from
 ``PCG64(SeedSequence((seed, t)))``, so trials are independent streams and
 results do not depend on scheduling or worker count.
 
-Exact sums enumerate the whole output space, which is capped at
-``EXHAUSTIVE_BUDGET`` sequences; per-trial error probabilities are exact and
-only the codebook average is sampled.
+Exact sums for a fixed codebook enumerate the whole output space, which is
+capped at ``EXHAUSTIVE_BUDGET`` sequences; per-trial error probabilities are
+exact and only the codebook average is sampled. At rate 0 the statistic
+depends on the output only through its joint type with the codeword, so the
+exact rate-0 sums run over joint type classes instead (method of types),
+capped at ``TYPE_CLASS_BUDGET`` classes; for a binary channel with uniform
+input that reaches n = 2894.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from .measures import (
 from ._pool import map_indexed
 
 EXHAUSTIVE_BUDGET = 20_000_000
+TYPE_CLASS_BUDGET = 1 << 21
 _ENUM_CHUNK = 1 << 16
+_GATHER_ELEMENTS = 1 << 20
 
 
 class CompositionError(ValueError):
@@ -268,22 +274,33 @@ def _check_budget(ny: int, n: int):
 def exact_error_probs(cb: Codebook, w: Channel, p_out: Distribution,
                       tau: float) -> tuple[float, float]:
     """Exact false-alarm and missed-detection probabilities of the threshold
-    test for one fixed codebook, by summing over every output sequence."""
+    test for one fixed codebook, by summing over every output sequence.
+
+    Codewords are gathered in groups of at most ``_GATHER_ELEMENTS`` channel
+    log-probabilities per output block, and their likelihoods are added to
+    the mixture one codeword after another, so the result does not depend on
+    the grouping."""
     _check_budget(w.num_outputs, cb.n)
     n = cb.n
     with np.errstate(divide="ignore"):
         log_w = np.log(w.rows)
         log_p = np.log(p_out.probs)
-    m = cb.size
+    m, ny = cb.size, w.num_outputs
+    # row i * ny + b of a codeword's table is log W(b | x_i)
+    tables = log_w[cb.codewords].reshape(m, n * ny)
     alpha_parts: list[float] = []
     beta_parts: list[float] = []
-    for block in _output_blocks(w.num_outputs, n):
+    for block in _output_blocks(ny, n):
         lp_null = log_p[block].sum(axis=1)
+        cells = np.arange(n) * ny + block
+        group = max(1, _GATHER_ELEMENTS // block.size)
         s_mix = np.zeros(block.shape[0])
-        for i in range(m):
-            with np.errstate(invalid="ignore"):
-                lw = log_w[cb.codewords[i][None, :], block].sum(axis=1)
-            s_mix += np.where(np.isfinite(lw), np.exp(lw), 0.0)
+        for g in range(0, m, group):
+            lw = np.take(tables[g:g + group], cells, axis=1).sum(axis=2)
+            # accumulate, not reduce: a reduction may pair up the terms,
+            # while accumulate adds the rows strictly in codeword order
+            s_mix = np.add.accumulate(np.vstack([s_mix, np.exp(lw)]),
+                                      axis=0)[-1]
         mix = s_mix / m
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = (np.log(mix) - lp_null) / n
@@ -291,18 +308,6 @@ def exact_error_probs(cb: Codebook, w: Channel, p_out: Distribution,
         alpha_parts.append(float(np.exp(lp_null)[accept].sum()))
         beta_parts.append(float(mix[~accept].sum()))
     return math.fsum(alpha_parts), math.fsum(beta_parts)
-
-
-def alpha_exact_given_codebook(cb: Codebook, w: Channel, p_out: Distribution,
-                               tau: float) -> float:
-    """Exact null-hypothesis mass of the acceptance region."""
-    return exact_error_probs(cb, w, p_out, tau)[0]
-
-
-def beta_exact_given_codebook(cb: Codebook, w: Channel, p_out: Distribution,
-                              tau: float) -> float:
-    """Exact mixture mass of the rejection region."""
-    return exact_error_probs(cb, w, p_out, tau)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +330,20 @@ def type_class_size(counts: np.ndarray) -> int:
     return size
 
 
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every row of ``parts`` non-negative integers summing to ``total``, in
+    lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        reps = rest + 1
+        first = (np.arange(int(reps.sum()), dtype=np.int64)
+                 - np.repeat(np.cumsum(reps) - reps, reps))
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), first])
+        rest = np.repeat(rest, reps) - first
+    return np.column_stack([rows, rest])
+
+
 def exact_r0_error_probs(n: int, w: Channel, p_in: Distribution, tau: float
                          ) -> tuple[float, float]:
     """Exact single-codeword error probabilities averaged over a uniformly
@@ -332,14 +351,40 @@ def exact_r0_error_probs(n: int, w: Channel, p_in: Distribution, tau: float
 
     Relabeling positions permutes the output space without changing either
     the product law or the per-codeword channel law, so every codeword in the
-    class yields identical inner sums; the average equals the value at one
-    canonical codeword.
+    class yields the same sums. Given the codeword, the statistic depends on
+    the output only through the joint counts N(a, b), and
+    ``prod_a c_a! / prod_ab N(a, b)!`` outputs share them, so the sums run
+    over joint type classes: polynomially many in ``n``. Classes that use a
+    zero-probability transition have zero mixture mass, so they would be
+    rejected and add nothing; only classes within the channel's support are
+    formed, and their number is capped at ``TYPE_CLASS_BUDGET``. A
+    probability below the smallest double (about 1e-308) comes out as 0.
     """
     counts = quantized_composition(n, p_in)
-    canonical = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    cb = Codebook(canonical[None, :], n, 0.0, counts)
-    p_out = Distribution(p_in.probs @ w.rows)
-    return exact_error_probs(cb, w, p_out, tau)
+    support = w.rows > 0
+    classes = math.prod(math.comb(int(c) + int(s) - 1, int(s) - 1)
+                        for c, s in zip(counts, support.sum(axis=1)))
+    if classes > TYPE_CLASS_BUDGET:
+        raise BudgetError(
+            f"{classes} joint type classes exceed the budget of "
+            f"{TYPE_CLASS_BUDGET}; reduce the blocklength")
+    with np.errstate(divide="ignore"):
+        log_w = np.log(w.rows)
+        log_p = np.log(p_in.probs @ w.rows)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    # per class: log of its size times its null or its channel probability
+    log_null = log_chan = np.zeros(1)
+    for a in np.flatnonzero(counts):  # an unused symbol adds no factor
+        c, sup = counts[a], support[a]
+        k = _compositions(int(c), int(sup.sum()))
+        log_size = log_fact[c] - log_fact[k].sum(axis=1)
+        # outer sums: one entry per combination of the rows chosen so far
+        log_null = np.add.outer(log_null, log_size + k @ log_p[sup]).ravel()
+        log_chan = np.add.outer(log_chan,
+                                log_size + k @ log_w[a, sup]).ravel()
+    accept = (log_chan - log_null) / n >= tau
+    return (math.fsum(np.exp(log_null[accept]).tolist()),
+            math.fsum(np.exp(log_chan[~accept]).tolist()))
 
 
 def estimate_error_probs(n: int, rate: float, w: Channel, p_in: Distribution,

@@ -133,6 +133,35 @@ def exact_probs_single_codeword(x, w_rows, p_out, tau):
     return alpha, beta
 
 
+def exact_probs_mixture(codewords, w_rows, p_out, tau):
+    """Exact (alpha, beta) for a codebook of several codewords by brute-force
+    enumeration: the mixture probability of an output is the plain average
+    over codewords of the products of channel transition probabilities."""
+    n = len(codewords[0])
+    ny = len(p_out)
+    alpha = beta = 0.0
+    for y in itertools.product(range(ny), repeat=n):
+        p_null = 1.0
+        for yi in y:
+            p_null *= p_out[yi]
+        p_mix = 0.0
+        for x in codewords:
+            term = 1.0
+            for xi, yi in zip(x, y):
+                term *= w_rows[xi][yi]
+            p_mix += term
+        p_mix /= len(codewords)
+        if p_mix > 0 and p_null > 0:
+            accept = (math.log(p_mix) - math.log(p_null)) / n >= tau
+        else:
+            accept = False  # zero mixture rejects at any finite threshold
+        if accept:
+            alpha += p_null
+        else:
+            beta += p_mix
+    return alpha, beta
+
+
 def exact_probs_type_class_average(n, w_rows, p_in, p_out, tau):
     """Average the exact single-codeword probabilities over every codeword
     of the type class (uniform composition assumed binary here)."""
@@ -198,6 +227,23 @@ def r0_type_class_sums(n, w_rows, p_in, tau):
             e_md_n = min(e_md_n, sum(k * math.log(k / comp[a] / w[a, b])
                                      for a, b, k in pairs) / n)
     return math.fsum(alpha), math.fsum(beta), e_fa_n, e_md_n
+
+
+def r0_class_levels(comp, w_rows, p_out):
+    """Sorted distinct levels (log W - log P_Y) / n of the joint type
+    classes of one codeword with symbol counts ``comp`` that carry channel
+    mass."""
+    n = sum(comp)
+    ny = len(p_out)
+    levels = set()
+    for rows in itertools.product(*(_compositions(c, ny) for c in comp)):
+        pairs = [(a, b, k) for a, row in enumerate(rows)
+                 for b, k in enumerate(row) if k]
+        if any(w_rows[a][b] == 0 for a, b, _ in pairs):
+            continue
+        levels.add(sum(k * (math.log(w_rows[a][b]) - math.log(p_out[b]))
+                       for a, b, k in pairs) / n)
+    return sorted(levels)
 
 
 def single_codeword_joint_type_prob(y, comp, counts):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -196,6 +197,19 @@ def test_simulate_exact_r0_matches_oracle(z_spec_file, tmp_path, capsys):
                                                      abs=1e-12)
     assert payload["beta"]["mean"] == pytest.approx(0.04100625, abs=1e-12)
     assert payload["realized_m"] == 1
+
+
+@pytest.mark.parametrize("name", ["z-channel", "z-kanal-\u00e4"])
+def test_spec_hash_is_sha256_of_the_spec_file(name, tmp_path, capsys):
+    path = tmp_path / "z.channel"
+    path.write_bytes(Z_SPEC.replace("z-channel", name).encode("utf-8"))
+    out = str(tmp_path / "sim.csv")
+    assert main(["simulate", "--spec", str(path), "--n", "8", "--rate", "0",
+                 "--tau", "0", "--mode", "exact-r0", "--out", out]) == 0
+    capsys.readouterr()
+    manifest = json.load(open(out + ".manifest.json"))
+    assert manifest["spec_hash"] == hashlib.sha256(
+        path.read_bytes()).hexdigest()
 
 
 def test_simulate_rows_in_unit_interval(z_spec_file, tmp_path, capsys):

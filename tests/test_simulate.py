@@ -9,8 +9,6 @@ from softcover import (
     Codebook,
     CompositionError,
     Distribution,
-    alpha_exact_given_codebook,
-    beta_exact_given_codebook,
     estimate_error_probs,
     exact_r0_error_probs,
     llr,
@@ -22,6 +20,7 @@ from softcover import (
     sample_codebook,
     tce,
 )
+from softcover import simulate
 from softcover.simulate import (
     codebook_size,
     exact_error_probs,
@@ -30,8 +29,11 @@ from softcover.simulate import (
 )
 
 from _oracles import (
+    exact_probs_mixture,
     exact_probs_single_codeword,
     exact_probs_type_class_average,
+    r0_class_levels,
+    r0_type_class_sums,
     single_codeword_joint_type_prob,
 )
 
@@ -191,12 +193,12 @@ def test_tce_mean_matches_binomial(uniform2):
 def test_exact_sums_trivial_thresholds(bsc, uniform2):
     p_out = output_marginal(uniform2, bsc)
     cb = sample_codebook(6, 0.3, uniform2, seed=4)
-    assert alpha_exact_given_codebook(cb, bsc, p_out, -1e10) == \
+    assert exact_error_probs(cb, bsc, p_out, -1e10)[0] == \
         pytest.approx(1.0, abs=1e-12)
-    assert alpha_exact_given_codebook(cb, bsc, p_out, 1e10) == 0.0
-    assert beta_exact_given_codebook(cb, bsc, p_out, 1e10) == \
+    assert exact_error_probs(cb, bsc, p_out, 1e10)[0] == 0.0
+    assert exact_error_probs(cb, bsc, p_out, 1e10)[1] == \
         pytest.approx(1.0, abs=1e-12)
-    assert beta_exact_given_codebook(cb, bsc, p_out, -1e10) == 0.0
+    assert exact_error_probs(cb, bsc, p_out, -1e10)[1] == 0.0
 
 
 def test_exact_alpha_singular_channel_mass_deficit(zchannel, uniform2):
@@ -204,10 +206,10 @@ def test_exact_alpha_singular_channel_mass_deficit(zchannel, uniform2):
     # even an arbitrarily low threshold does not accept everything
     p_out = output_marginal(uniform2, zchannel)
     cb = sample_codebook(8, 0.05, uniform2, seed=21)
-    alpha = alpha_exact_given_codebook(cb, zchannel, p_out, -1e10)
+    alpha = exact_error_probs(cb, zchannel, p_out, -1e10)[0]
     assert alpha < 1.0 - 1e-3
     # the acceptance region mass equals the mixture-positive mass
-    beta = beta_exact_given_codebook(cb, zchannel, p_out, -1e10)
+    beta = exact_error_probs(cb, zchannel, p_out, -1e10)[1]
     assert beta == 0.0
 
 
@@ -228,7 +230,118 @@ def test_budget_guard(bsc, uniform2):
     cb = sample_codebook(26, 0.0, uniform2, seed=1)
     p_out = output_marginal(uniform2, bsc)
     with pytest.raises(BudgetError, match="Monte Carlo"):
-        alpha_exact_given_codebook(cb, bsc, p_out, 0.0)
+        exact_error_probs(cb, bsc, p_out, 0.0)[0]
+
+
+# frozen from the per-codeword loop that preceded the grouped enumerator:
+# per_trial_error_probs(12, 0.2, Z-channel, uniform, 0.05, 4, seed=3)
+Z_N12_TRIALS = [
+    (0.15372716480422974, 0.34084167187500003),
+    (0.15023724626490664, 0.3652745625),
+    (0.14402127984900973, 0.387201515625),
+    (0.1568183528103099, 0.34898596875),
+]
+
+
+def test_per_trial_pairs_are_frozen(zchannel, uniform2):
+    got = simulate.per_trial_error_probs(12, 0.2, zchannel, uniform2, 0.05,
+                                         4, seed=3)
+    assert got == Z_N12_TRIALS
+
+
+@pytest.mark.parametrize("n,rate,which", [
+    (8, 0.3, "z"), (6, 0.5, "bsc"), (6, 0.4, "2x3"),
+    (8, 0.8, "z"),  # 601 codewords: more than one gather group
+])
+def test_exact_sums_match_mixture_enumeration(n, rate, which, zchannel, bsc,
+                                              uniform2, random_2x3_channels):
+    w = {"z": zchannel, "bsc": bsc, "2x3": random_2x3_channels[1]}[which]
+    p_out = output_marginal(uniform2, w)
+    cb = sample_codebook(n, rate, uniform2, seed=(5, n))
+    assert cb.size > 1
+    for tau in (-0.137, 0.0123, 0.091):
+        want = exact_probs_mixture(cb.codewords.tolist(), w.rows.tolist(),
+                                   p_out.probs.tolist(), tau)
+        got = exact_error_probs(cb, w, p_out, tau)
+        assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
+
+
+def test_exact_sums_do_not_depend_on_codeword_grouping(bsc, uniform2,
+                                                       monkeypatch):
+    # a full-support channel: every codeword adds to every output's mixture,
+    # so a change in the order of addition shows in the last bits
+    p_out = output_marginal(uniform2, bsc)
+    cb = sample_codebook(8, 0.8, uniform2, seed=9)
+    taus = (-0.2, -0.05, 0.0123, 0.05, 0.2)
+    grouped = [exact_error_probs(cb, bsc, p_out, tau) for tau in taus]
+    monkeypatch.setattr(simulate, "_GATHER_ELEMENTS", 1)  # one per group
+    assert [exact_error_probs(cb, bsc, p_out, tau) for tau in taus] == grouped
+
+
+# ------------------------------------------ rate-0 joint-type-class engine
+
+def _clear_thresholds(comp, w, p_out):
+    """Midpoints between adjacent class levels at least 1e-6 apart. At an
+    exact tie the enumerator's rounding of the level varies between outputs
+    of the same class, so the two sums may split a class differently; far
+    from every level both classify each class the same way."""
+    levels = r0_class_levels(comp.tolist(), w.rows.tolist(),
+                             p_out.tolist())
+    mids = [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])
+            if hi - lo > 1e-6]
+    return sorted({mids[len(mids) // 4], mids[len(mids) // 2],
+                   mids[3 * len(mids) // 4]})
+
+
+@pytest.mark.parametrize("p_in", [[0.5, 0.5], [0.3, 0.7]])
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_type_class_engine_matches_enumerator(n, p_in, zchannel, bsc,
+                                              random_2x3_channels):
+    p_in = Distribution(p_in)
+    counts = quantized_composition(n, p_in)
+    canonical = np.repeat(np.arange(2), counts)
+    cb = Codebook(canonical[None, :], n, 0.0, counts)
+    for w in [zchannel, bsc] + list(random_2x3_channels):
+        p_out = p_in.probs @ w.rows
+        for tau in _clear_thresholds(counts, w, p_out):
+            got = exact_r0_error_probs(n, w, p_in, tau)
+            want = exact_error_probs(cb, w, Distribution(p_out), tau)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+
+def test_type_class_engine_beyond_enumeration_budget(zchannel, bsc,
+                                                     random_2x3_channels):
+    # 2^100 outputs are out of reach of the enumerator, not of the classes
+    uniform = Distribution([0.5, 0.5])
+    for w, n in [(zchannel, 100), (bsc, 100), (zchannel, 40),
+                 (random_2x3_channels[0], 40)]:
+        p_out = uniform.probs @ w.rows
+        counts = quantized_composition(n, uniform)
+        for tau in _clear_thresholds(counts, w, p_out):
+            got = exact_r0_error_probs(n, w, uniform, tau)
+            want = r0_type_class_sums(n, w.rows.tolist(), [0.5, 0.5], tau)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+
+def test_type_class_engine_with_an_unused_input_symbol():
+    # the unused symbol's only output has zero probability under the null law
+    w = Channel([[0.8, 0.2, 0.0], [0.0, 0.0, 1.0]])
+    p_in = Distribution([1.0, 0.0])
+    p_out = output_marginal(p_in, w)
+    cb = Codebook([[0] * 6], 6, 0.0, [6, 0])
+    for tau in (-0.1, 0.1):
+        got = exact_r0_error_probs(6, w, p_in, tau)
+        want = exact_error_probs(cb, w, p_out, tau)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_type_class_budget(random_2x3_channels, uniform2):
+    # C(102, 2)^2 = 26,532,801 joint type classes at n = 200
+    with pytest.raises(BudgetError, match="26532801 joint type classes"):
+        exact_r0_error_probs(200, random_2x3_channels[0], uniform2, 0.0)
 
 
 # -------------------------------------------------------- threshold algebra
