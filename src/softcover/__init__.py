@@ -24,8 +24,6 @@ from .exponents import (
     interference_level,
     md_exponent,
     r0_exponents,
-    zchannel_oracle_fa,
-    zchannel_oracle_md,
 )
 from .phase import (
     FlatPoint,

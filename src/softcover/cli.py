@@ -22,13 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .exponents import (
-    SolverConfig,
-    default_config,
-    fa_exponent,
-    md_exponent,
-    r0_exponents,
-)
+from .exponents import Problem, SolverConfig, default_config
 from .measures import Channel, Distribution, JointType, mutual_information, \
     entropy, output_marginal
 from .phase import classify, fa_cusp_rate, phase_report, tradeoff_curve
@@ -37,8 +31,6 @@ from .simulate import (
     estimate_from_values,
     exact_r0_error_probs,
     per_trial_error_probs,
-    quantized_composition,
-    type_class_size,
 )
 
 LN2 = math.log(2.0)
@@ -212,10 +204,12 @@ def write_manifest(path: str, manifest: dict) -> None:
 def _cfg_from_args(args, w: Channel) -> SolverConfig:
     base = default_config(w)
     return SolverConfig(
-        grid_points_per_dim=args.grid or base.grid_points_per_dim,
+        grid_points_per_dim=(base.grid_points_per_dim if args.grid is None
+                             else args.grid),
         refinement_rounds=(base.refinement_rounds if args.refine is None
                            else args.refine),
-        refinement_shrink=args.shrink or base.refinement_shrink,
+        refinement_shrink=(base.refinement_shrink if args.shrink is None
+                           else args.shrink),
         constraint_slack=(base.constraint_slack if args.slack is None
                           else args.slack),
     )
@@ -262,28 +256,17 @@ def cmd_exponent(args) -> int:
     rate = _unit_in(args.rate, bits)
     payload: dict = {"tau": args.tau, "rate": args.rate,
                      "units": "bits" if bits else "nats"}
+    problem = Problem(w, p_in, rate, cfg)
     requested = []
-    if args.which in ("fa", "both"):
-        if rate == 0:
-            res, _ = r0_exponents(w, p_in, tau, cfg)
-        else:
-            res = fa_exponent(w, p_in, tau, rate, cfg)
-        payload["e_fa"] = json_value(_unit_out(res.value, bits))
-        payload["fa_feasible"] = res.feasible
-        payload["fa_branch"] = res.branch
-        payload["fa_minimizer"] = (None if res.minimizer is None else
-                                   res.minimizer.conditional.tolist())
-        requested.append(res)
-    if args.which in ("md", "both"):
-        if rate == 0:
-            _, res = r0_exponents(w, p_in, tau, cfg)
-        else:
-            res = md_exponent(w, p_in, tau, rate, cfg)
-        payload["e_md"] = json_value(_unit_out(res.value, bits))
-        payload["md_feasible"] = res.feasible
-        payload["md_branch"] = res.branch
-        payload["md_minimizer"] = (None if res.minimizer is None else
-                                   res.minimizer.conditional.tolist())
+    for which, solve in (("fa", problem.fa), ("md", problem.md)):
+        if args.which not in (which, "both"):
+            continue
+        res = solve(tau)
+        payload[f"e_{which}"] = json_value(_unit_out(res.value, bits))
+        payload[f"{which}_feasible"] = res.feasible
+        payload[f"{which}_branch"] = res.branch
+        payload[f"{which}_minimizer"] = (None if res.minimizer is None else
+                                         res.minimizer.conditional.tolist())
         requested.append(res)
     payload["manifest"] = run_manifest("exponent", spec_text, cfg)
     print(json.dumps(payload, indent=2))
@@ -304,15 +287,11 @@ def cmd_sweep(args) -> int:
         raise SpecError(f"tau-min {args.tau_min} must be below tau-max "
                         f"{args.tau_max}")
     report = phase_report(w, p_in, rate, cfg, locate_kink=False)
-    taus = np.linspace(tau_min, tau_max, args.steps)
+    problem = Problem(w, p_in, rate, cfg)
     rows = []
-    for tau in taus:
+    for tau in np.linspace(tau_min, tau_max, args.steps):
         tau = float(tau)
-        if rate == 0:
-            fa, md = r0_exponents(w, p_in, tau, cfg)
-        else:
-            fa = fa_exponent(w, p_in, tau, rate, cfg)
-            md = md_exponent(w, p_in, tau, rate, cfg)
+        fa, md = problem.fa(tau), problem.md(tau)
         fa_tag, md_tag = classify(tau, report)
         rows.append([_unit_out(tau, bits), _unit_out(fa.value, bits),
                      _unit_out(md.value, bits), fa_tag.value, md_tag.value])
@@ -331,22 +310,13 @@ def cmd_phase(args) -> int:
     if r_min >= r_max:
         raise SpecError(f"rate-min {args.rate_min} must be below rate-max "
                         f"{args.rate_max}")
+    columns = ["rate", "i_xy", "tau_flat", "fa_flat_value", "lambda_min",
+               "lambda_max", "tau_star", "tau_kink"]
     rows = []
     for rate in np.linspace(r_min, r_max, args.rate_steps):
         report = phase_report(w, p_in, float(rate), cfg)
-        rows.append([
-            _unit_out(report.rate, bits),
-            _unit_out(report.i_xy, bits),
-            _unit_out(report.tau_flat, bits),
-            _unit_out(report.fa_flat_value, bits),
-            _unit_out(report.lambda_min, bits),
-            _unit_out(report.lambda_max, bits),
-            _unit_out(report.tau_star, bits),
-            _unit_out(report.tau_kink, bits),
-        ])
-    write_csv(args.out,
-              ["rate", "i_xy", "tau_flat", "fa_flat_value", "lambda_min",
-               "lambda_max", "tau_star", "tau_kink"], rows)
+        rows.append([_unit_out(getattr(report, c), bits) for c in columns])
+    write_csv(args.out, columns, rows)
     write_manifest(args.out, run_manifest("phase", spec_text, cfg))
     return 0
 
@@ -387,18 +357,12 @@ def cmd_simulate(args) -> int:
     if args.mode == "exact-r0":
         if rate != 0:
             raise SpecError("exact-r0 mode requires --rate 0")
-        alpha, beta = exact_r0_error_probs(args.n, w, p_in, tau)
-        ensemble = type_class_size(quantized_composition(args.n, p_in))
-        pairs = [(alpha, beta)]
-        alpha_est = estimate_from_values([alpha], args.seed)
-        beta_est = estimate_from_values([beta], args.seed)
-        trials = ensemble
+        pairs = [exact_r0_error_probs(args.n, w, p_in, tau)]
     else:
         pairs = per_trial_error_probs(args.n, rate, w, p_in, tau,
                                       args.trials, args.seed)
-        alpha_est = estimate_from_values([p[0] for p in pairs], args.seed)
-        beta_est = estimate_from_values([p[1] for p in pairs], args.seed)
-        trials = args.trials
+    alpha_est = estimate_from_values([p[0] for p in pairs], args.seed)
+    beta_est = estimate_from_values([p[1] for p in pairs], args.seed)
     rows = [[t, a, b] for t, (a, b) in enumerate(pairs)]
     write_csv(args.out, ["trial", "alpha", "beta"], rows)
     manifest = run_manifest("simulate", spec_text, None,
@@ -411,7 +375,7 @@ def cmd_simulate(args) -> int:
         "realized_rate": _unit_out(realized_rate, bits),
         "tau": args.tau,
         "mode": args.mode,
-        "trials": trials,
+        "trials": len(pairs),
         "seed": args.seed,
         "alpha": {"mean": alpha_est.mean, "std_error": alpha_est.std_error},
         "beta": {"mean": beta_est.mean, "std_error": beta_est.std_error},
@@ -436,9 +400,7 @@ ZCHANNEL_CHECKS = [
 
 def zchannel_checkpoints(cfg: SolverConfig | None = None) -> dict[str, float]:
     """Computed values behind the verification table, keyed by check name."""
-    spec = parse_channel_spec(ZCHANNEL_SPEC)
-    w, p_in = spec.to_channel()
-    cfg = cfg or default_config(w)
+    w, p_in = parse_channel_spec(ZCHANNEL_SPEC).to_channel()
     report = phase_report(w, p_in, 0.05, cfg)
     cusp = fa_cusp_rate(w, p_in, [0.02 + 0.02 * k for k in range(12)], cfg)
     return {
@@ -455,9 +417,9 @@ def zchannel_checkpoints(cfg: SolverConfig | None = None) -> dict[str, float]:
 
 def cmd_verify_zchannel(args) -> int:
     cfg = None
-    if args.grid or args.refine is not None or args.shrink or args.slack is not None:
-        spec = parse_channel_spec(ZCHANNEL_SPEC)
-        w, _ = spec.to_channel()
+    if any(getattr(args, flag) is not None
+           for flag in ("grid", "refine", "shrink", "slack")):
+        w, _ = parse_channel_spec(ZCHANNEL_SPEC).to_channel()
         cfg = _cfg_from_args(args, w)
     computed = zchannel_checkpoints(cfg)
     print(f"{'check':<24}{'expected':>12}{'computed':>14}{'tol':>10}  status")

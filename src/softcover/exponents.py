@@ -10,6 +10,10 @@ The generic solver lays a dense grid over the free conditional coordinates
 (one simplex per input symbol), splits the non-smooth clipped rate term by
 solving the bulk branch (``I_Q <= R``) and the sparse branch (``I_Q >= R``)
 separately, and polishes the incumbent with successively shrunken boxes.
+``Problem`` holds one (channel, input, rate, configuration) and solves both
+exponents, the level extrema and the interference level with one masked
+argmin (``_scan``) and one shrinking-box loop (``_polish``); the public
+functions build one per call.
 Joint types that violate the channel support carry an infinite conditional
 divergence and a level of ``-inf``; they drop out of both problems without
 special casing, which is what produces the strictly positive false-alarm
@@ -22,6 +26,7 @@ improvement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -64,7 +69,6 @@ class SolverConfig:
     refinement_rounds: int = 4
     refinement_shrink: float = 0.1
     constraint_slack: float = 0.0
-    tie_break: str = "first"
 
     def __post_init__(self):
         if self.grid_points_per_dim < 17:
@@ -75,8 +79,6 @@ class SolverConfig:
             raise ValueError("refinement_shrink must lie in (0, 1)")
         if self.constraint_slack < 0.0:
             raise ValueError("constraint_slack must be >= 0")
-        if self.tie_break != "first":
-            raise ValueError(f"unknown tie_break rule {self.tie_break!r}")
 
 
 def default_config(w: Channel) -> SolverConfig:
@@ -151,10 +153,8 @@ class _Bundle:
 def _row_grid(ny: int, g: int, lo=None, hi=None) -> np.ndarray:
     """Candidate stochastic rows; coordinates 1..ny-1 are gridded over the
     given per-coordinate box and coordinate 0 absorbs the remainder."""
-    if lo is None:
-        lo = np.zeros(ny - 1)
-    if hi is None:
-        hi = np.ones(ny - 1)
+    lo = np.zeros(ny - 1) if lo is None else lo
+    hi = np.ones(ny - 1) if hi is None else hi
     axes = [np.linspace(lo[i], hi[i], g) for i in range(ny - 1)]
     if ny == 2:
         free = axes[0][:, None]
@@ -189,7 +189,6 @@ def _joint_chunks(row_lists: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
 class _Incumbent:
     value: float
     cond: np.ndarray
-    i_q: float
 
 
 _CACHE_CANDIDATE_LIMIT = 2_000_000
@@ -205,15 +204,10 @@ def _refine_points(ny: int, g: int) -> int:
     return min(g, per_row)
 
 
-def _full_row_lists(w: Channel, g: int):
-    ny = w.num_outputs
-    return [_row_grid(ny, g) for _ in range(w.num_inputs)]
-
-
 def _base_bundles(w: Channel, p_in, p_out_probs, g: int):
     """Measure bundles of the full base grid, cached per channel when the
     candidate count is moderate, otherwise streamed."""
-    row_lists = _full_row_lists(w, g)
+    row_lists = [_row_grid(w.num_outputs, g)] * w.num_inputs
     total = math.prod(len(r) for r in row_lists)
     if total > _CACHE_CANDIDATE_LIMIT:
         return (_Bundle(cond, w.rows, p_in, p_out_probs)
@@ -227,96 +221,240 @@ def _base_bundles(w: Channel, p_in, p_out_probs, g: int):
     return _BUNDLE_CACHE[key]
 
 
-def _consider(bundle: _RatedBundle, objective, feasible,
-              incumbent: Optional[_Incumbent]) -> Optional[_Incumbent]:
+def _masked(block, objective, feasible) -> np.ndarray:
+    """The objective on feasible candidates; +inf elsewhere and for NaN."""
     with np.errstate(invalid="ignore"):
-        masked = np.where(feasible(bundle), objective(bundle), np.inf)
-    masked = np.where(np.isnan(masked), np.inf, masked)
-    j = int(np.argmin(masked))
-    v = float(masked[j])
-    if math.isfinite(v) and (incumbent is None or v < incumbent.value):
-        return _Incumbent(v, np.array(bundle.cond[j]), float(bundle.i_q[j]))
-    return incumbent
+        masked = np.where(feasible(block), objective(block), np.inf)
+    return np.where(np.isnan(masked), np.inf, masked)
 
 
-def _optimize(w, p_in, p_out_probs, rate, cfg: SolverConfig, objective, feasible,
-              seeds=()) -> Optional[_Incumbent]:
-    """Full-box scan plus shrinking-box polish around the incumbent.
-
-    Seeds are evaluated ahead of the lattice, so a seed wins all ties; each
-    polish round scans the incumbent itself first for the same reason.
-    """
-    g = cfg.grid_points_per_dim
-    best = None
-    if seeds:
-        seed_bundle = _Bundle(np.stack(list(seeds)), w.rows, p_in,
-                              p_out_probs).at_rate(rate)
-        best = _consider(seed_bundle, objective, feasible, best)
-    for bundle in _base_bundles(w, p_in, p_out_probs, g):
-        best = _consider(bundle.at_rate(rate), objective, feasible, best)
-    if best is None:
-        return None
-    g_refine = _refine_points(w.num_outputs, g)
-    for level in range(1, cfg.refinement_rounds + 1):
-        width = cfg.refinement_shrink ** level
-        row_lists = []
-        for x in range(w.num_inputs):
-            center = best.cond[x, 1:]
-            lo = np.clip(center - width / 2, 0.0, 1.0)
-            hi = np.clip(center + width / 2, 0.0, 1.0)
-            grid = _row_grid(w.num_outputs, g_refine, lo, hi)
-            row_lists.append(np.vstack([best.cond[x][None, :], grid]))
-        for cond in _joint_chunks(row_lists):
-            bundle = _Bundle(cond, w.rows, p_in, p_out_probs).at_rate(rate)
-            best = _consider(bundle, objective, feasible, best)
+def _scan(blocks, objective, feasible, best: Optional[_Incumbent]
+          ) -> Optional[_Incumbent]:
+    """Masked argmin over candidate blocks (anything with a ``cond`` array)
+    in order: the first candidate wins a tie, and the incumbent is replaced
+    only on a strict improvement."""
+    for block in blocks:
+        masked = _masked(block, objective, feasible)
+        j = int(np.argmin(masked))
+        v = float(masked[j])
+        if math.isfinite(v) and (best is None or v < best.value):
+            best = _Incumbent(v, np.array(block.cond[j]))
     return best
 
 
-def _count_near_minimum(w, p_in, p_out_probs, rate, cfg, objective, feasible,
-                        value: float, atol: float = 1e-9) -> int:
-    """Number of base-grid candidates whose feasible objective is within
-    ``atol`` of ``value`` (multiplicity diagnostic for tie-broken argmins)."""
-    count = 0
-    for bundle in _base_bundles(w, p_in, p_out_probs, cfg.grid_points_per_dim):
-        b = bundle.at_rate(rate)
-        with np.errstate(invalid="ignore"):
-            masked = np.where(feasible(b), objective(b), np.inf)
-        count += int(np.count_nonzero(masked <= value + atol))
-    return count
+def _polish(best: _Incumbent, free_rows: int, points: int, evaluate,
+            cfg: SolverConfig) -> _Incumbent:
+    """Shrinking-box polish of the incumbent's first ``free_rows`` rows.
+
+    Round ``level`` grids a box of width ``refinement_shrink ** level``,
+    clipped to [0, 1], around each of those rows with ``points`` samples per
+    free coordinate, lists the incumbent's own row first so that it wins
+    ties, and passes the row lists to ``evaluate(row_lists, best)``.
+    """
+    ny = best.cond.shape[1]
+    for level in range(1, cfg.refinement_rounds + 1):
+        width = cfg.refinement_shrink ** level
+        row_lists = []
+        for row in best.cond[:free_rows]:
+            lo = np.clip(row[1:] - width / 2, 0.0, 1.0)
+            hi = np.clip(row[1:] + width / 2, 0.0, 1.0)
+            row_lists.append(np.vstack([row[None, :],
+                                        _row_grid(ny, points, lo, hi)]))
+        best = evaluate(row_lists, best)
+    return best
 
 
-def _lambda_extremum(w, p_in, p_out_probs, rate, cfg, *, minimize: bool
-                     ) -> Optional[_Incumbent]:
-    sign = 1.0 if minimize else -1.0
-    res = _optimize(
-        w, p_in, p_out_probs, rate, cfg,
-        objective=lambda b: sign * b.lam,
-        feasible=lambda b: np.isfinite(b.lam),
-        seeds=[np.array(w.rows)])
-    if res is not None:
-        res.value = sign * res.value
-    return res
+def _finite_level(b):
+    return np.isfinite(b.lam)
 
 
-def _as_joint_type(p_in_dist: Distribution, cond: np.ndarray) -> JointType:
-    cleaned = np.clip(cond, 0.0, 1.0)
-    cleaned = cleaned / cleaned.sum(axis=1, keepdims=True)
-    return JointType(p_in_dist, cleaned)
-
-
-def _branch_feasible(base, branch: str, rate: float):
+def _branch_feasible(base, branch: Optional[str], rate: float):
+    if branch is None:
+        return base
     if branch == BULK:
         return lambda b: base(b) & (b.i_q <= rate + _BRANCH_TOL)
     return lambda b: base(b) & (b.i_q >= rate - _BRANCH_TOL)
 
 
-def _pick(bulk: Optional[_Incumbent], sparse: Optional[_Incumbent]):
-    """Smaller of the two branch minima; ties resolve to the bulk branch."""
-    if bulk is None and sparse is None:
-        return None, None
-    if sparse is None or (bulk is not None and bulk.value <= sparse.value):
-        return bulk, BULK
-    return sparse, SPARSE
+class _Fiber(NamedTuple):
+    cond: np.ndarray
+    d_c: np.ndarray
+    feasible: np.ndarray
+
+
+def _fiber(first_rows: np.ndarray, q_out: np.ndarray, w: Channel,
+           p_in: np.ndarray, rate: float) -> _Fiber:
+    """Fiber candidates with the last conditional row derived from the
+    output-marginal constraint; feasible where that row is stochastic, the
+    conditional divergence finite and the mutual information at most
+    ``rate``."""
+    partial = np.einsum("...xy,x->...y", first_rows, p_in[:-1])
+    last = (q_out - partial) / p_in[-1]
+    valid = (last >= -_SIMPLEX_TOL).all(axis=-1)
+    last = np.clip(last, 0.0, 1.0)
+    cond = np.concatenate([first_rows, last[..., None, :]], axis=-2)
+    d_c = cond_kl_vec(cond, w.rows, p_in)
+    i_q = np.maximum(entropy_vec(q_out) - cond_entropy_vec(cond, p_in), 0.0)
+    return _Fiber(cond, d_c,
+                  valid & np.isfinite(d_c) & (i_q <= rate + _BRANCH_TOL))
+
+
+class Problem:
+    """Both exponent problems for one channel, input distribution, rate and
+    solver configuration.
+
+    The output marginal is derived once. The per-branch level extrema, which
+    seed the exponent solves and do not depend on the threshold, are
+    computed on first use and kept, so a threshold sweep should build one
+    instance per rate.
+    """
+
+    def __init__(self, w: Channel, p_in: Distribution, rate: float,
+                 cfg: Optional[SolverConfig] = None):
+        if not rate >= 0.0:
+            raise ValueError(f"rate must be >= 0, got {rate}")
+        self.w = w
+        self.p_in = p_in
+        self.rate = rate
+        self.cfg = cfg or default_config(w)
+        self.p_out = output_marginal(p_in, w)
+        self._extrema: dict[tuple, Optional[_Incumbent]] = {}
+
+    def _rated(self, cond: np.ndarray) -> _RatedBundle:
+        return _Bundle(cond, self.w.rows, self.p_in.probs,
+                       self.p_out.probs).at_rate(self.rate)
+
+    def _base(self):
+        return _base_bundles(self.w, self.p_in.probs, self.p_out.probs,
+                             self.cfg.grid_points_per_dim)
+
+    def _solve(self, objective, feasible, seeds) -> Optional[_Incumbent]:
+        """Scan the seeds, then the base grid, then polish the incumbent;
+        the seeds come first, so a seed wins all ties."""
+        base = (bundle.at_rate(self.rate) for bundle in self._base())
+        best = _scan(itertools.chain([self._rated(np.stack(seeds))], base),
+                     objective, feasible, None)
+        if best is None:
+            return None
+
+        def evaluate(row_lists, best):
+            return _scan(map(self._rated, _joint_chunks(row_lists)),
+                         objective, feasible, best)
+
+        points = _refine_points(self.w.num_outputs,
+                                self.cfg.grid_points_per_dim)
+        return _polish(best, self.w.num_inputs, points, evaluate, self.cfg)
+
+    def level_extremum(self, minimize: bool, branch: Optional[str] = None
+                       ) -> Optional[_Incumbent]:
+        """Polished extremum of the level within one branch, or over both
+        when ``branch`` is None. Thin feasible slivers near a branch's level
+        extremum fall between base grid points, so each branch's exponent
+        solve is seeded with this point."""
+        key = (minimize, branch)
+        if key not in self._extrema:
+            sign = 1.0 if minimize else -1.0
+            feasible = _branch_feasible(_finite_level, branch, self.rate)
+            res = self._solve(lambda b: sign * b.lam, feasible, [self.w.rows])
+            if res is not None:
+                res.value = sign * res.value
+            self._extrema[key] = res
+        return self._extrema[key]
+
+    def _seeds(self, minimize: bool, branch: str) -> list[np.ndarray]:
+        extremum = self.level_extremum(minimize, branch)
+        return [self.w.rows] + ([] if extremum is None else [extremum.cond])
+
+    def _result(self, bulk: Optional[_Incumbent],
+                sparse: Optional[_Incumbent]) -> ExponentResult:
+        """The smaller branch minimum; ties resolve to the bulk branch."""
+        if bulk is None and sparse is None:
+            return ExponentResult(math.inf, None, None, False)
+        if sparse is None or (bulk is not None and bulk.value <= sparse.value):
+            best, branch = bulk, BULK
+        else:
+            best, branch = sparse, SPARSE
+        cond = np.clip(best.cond, 0.0, 1.0)
+        cond = cond / cond.sum(axis=1, keepdims=True)
+        return ExponentResult(best.value, JointType(self.p_in, cond), branch,
+                              True)
+
+    def _fa_cost(self, b: _RatedBundle) -> np.ndarray:
+        return b.d_m + np.maximum(b.i_q - self.rate, 0.0)
+
+    def fa(self, tau: float) -> ExponentResult:
+        """False-alarm exponent at threshold ``tau`` (see ``fa_exponent``)."""
+        slack = self.cfg.constraint_slack
+
+        def base(b):
+            return np.isfinite(b.lam) & (b.lam >= tau - slack)
+
+        return self._result(*(
+            self._solve(self._fa_cost,
+                        _branch_feasible(base, branch, self.rate),
+                        self._seeds(False, branch))
+            for branch in (BULK, SPARSE)))
+
+    def md(self, tau: float) -> ExponentResult:
+        """Missed-detection exponent at threshold ``tau`` (see
+        ``md_exponent``); the interference ceiling binds when the rate is
+        positive and ``tau <= 0``."""
+        slack = self.cfg.constraint_slack
+        bottoms = [self.level_extremum(True, branch)
+                   for branch in (BULK, SPARSE)]
+        lam_min = min((b.value for b in bottoms if b is not None),
+                      default=math.inf)
+        if not lam_min < tau - slack:
+            return ExponentResult(math.inf, None, None, False)
+        gate = _CeilingGate(self) if self.rate > 0 and tau <= 0 else None
+
+        def base(b):
+            mask = np.isfinite(b.d_c) & (b.lam <= tau + slack)
+            if gate is not None and mask.any():
+                idx = np.flatnonzero(mask)
+                mask[idx] = gate.values(b.q_y[idx]) <= tau + slack
+            return mask
+
+        return self._result(*(
+            self._solve(lambda b: b.d_c,
+                        _branch_feasible(base, branch, self.rate),
+                        self._seeds(True, branch))
+            for branch in (BULK, SPARSE)))
+
+    def count_near_minimum(self, value: float, atol: float = 1e-9) -> int:
+        """Number of base-grid candidates with a finite level whose
+        false-alarm cost is within ``atol`` of ``value`` (multiplicity of a
+        tie-broken unconstrained minimum)."""
+        return sum(
+            int(np.count_nonzero(_masked(bundle.at_rate(self.rate),
+                                         self._fa_cost, _finite_level)
+                                 <= value + atol))
+            for bundle in self._base())
+
+    def _fiber_min(self, q_out: np.ndarray, first_rows, best=None
+                   ) -> Optional[_Incumbent]:
+        """Scan the fiber of ``q_out`` over blocks of free rows for the
+        smallest feasible ``D_c``."""
+        fibers = (_fiber(fr, q_out, self.w, self.p_in.probs, self.rate)
+                  for fr in first_rows)
+        return _scan(fibers, lambda f: f.d_c, lambda f: f.feasible, best)
+
+    def interference_level(self, q_out: np.ndarray) -> float:
+        """Polished interference level of the output marginal ``q_out`` (see
+        the module function ``interference_level``)."""
+        d_m = float(kl_vec(q_out, self.p_out.probs))
+        if not math.isfinite(d_m):
+            return -math.inf
+        ny, g = self.w.num_outputs, self.cfg.grid_points_per_dim
+
+        def evaluate(row_lists, best):
+            return self._fiber_min(q_out, _joint_chunks(row_lists), best)
+
+        best = evaluate([_row_grid(ny, g)] * (self.w.num_inputs - 1), None)
+        if best is None:
+            return -math.inf
+        best = _polish(best, self.w.num_inputs - 1, g, evaluate, self.cfg)
+        return d_m - best.value
 
 
 def fa_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
@@ -328,54 +466,7 @@ def fa_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
     reaches the threshold. ``tau = -inf`` is accepted and yields the
     unconstrained minimum over channel-compatible types.
     """
-    if not rate >= 0.0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    cfg = cfg or default_config(w)
-    p_out = output_marginal(p_in, w)
-    return _fa_core(w, p_in.probs, p_in, p_out.probs, tau, rate, cfg)
-
-
-def _branch_level_extremum(w, p_in_probs, p_out_probs, rate, cfg, branch,
-                           *, minimize: bool) -> Optional[_Incumbent]:
-    """Polished extremum of the level within one branch; thin feasible
-    slivers near a branch's level extremum fall between base grid points, so
-    each branch run is seeded with this point."""
-    sign = 1.0 if minimize else -1.0
-    res = _optimize(
-        w, p_in_probs, p_out_probs, rate, cfg,
-        objective=lambda b: sign * b.lam,
-        feasible=_branch_feasible(lambda b: np.isfinite(b.lam), branch, rate),
-        seeds=[np.array(w.rows)])
-    if res is not None:
-        res.value = sign * res.value
-    return res
-
-
-def _fa_core(w, p_in_probs, p_in_dist, p_out_probs, tau, rate, cfg
-             ) -> ExponentResult:
-    slack = cfg.constraint_slack
-
-    def base(b):
-        return np.isfinite(b.lam) & (b.lam >= tau - slack)
-
-    def objective(b):
-        return b.d_m + np.maximum(b.i_q - rate, 0.0)
-
-    results = []
-    for branch in (BULK, SPARSE):
-        seeds = [np.array(w.rows)]
-        top = _branch_level_extremum(w, p_in_probs, p_out_probs, rate, cfg,
-                                     branch, minimize=False)
-        if top is not None:
-            seeds.append(top.cond)
-        results.append(
-            _optimize(w, p_in_probs, p_out_probs, rate, cfg, objective,
-                      _branch_feasible(base, branch, rate), seeds=seeds))
-    best, branch = _pick(*results)
-    if best is None:
-        return ExponentResult(math.inf, None, None, False)
-    return ExponentResult(best.value, _as_joint_type(p_in_dist, best.cond),
-                          branch, True)
+    return Problem(w, p_in, rate, cfg).fa(tau)
 
 
 def md_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
@@ -392,50 +483,7 @@ def md_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
             "rate = 0 reduces to a single-codeword test; use r0_exponents")
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    cfg = cfg or default_config(w)
-    p_out = output_marginal(p_in, w)
-    return _md_core(w, p_in.probs, p_in, p_out.probs, tau, rate, cfg,
-                    use_ceiling=tau <= 0)
-
-
-def _md_core(w, p_in_probs, p_in_dist, p_out_probs, tau, rate, cfg,
-             use_ceiling: bool) -> ExponentResult:
-    slack = cfg.constraint_slack
-    bottoms = {
-        branch: _branch_level_extremum(w, p_in_probs, p_out_probs, rate, cfg,
-                                       branch, minimize=True)
-        for branch in (BULK, SPARSE)
-    }
-    lam_min = min((b.value for b in bottoms.values() if b is not None),
-                  default=math.inf)
-    if not lam_min < tau - slack:
-        return ExponentResult(math.inf, None, None, False)
-    gate = _CeilingGate(w, p_in_probs, p_out_probs, rate, cfg) if use_ceiling else None
-
-    def base(b):
-        mask = np.isfinite(b.d_c) & (b.lam <= tau + slack)
-        if gate is not None and mask.any():
-            idx = np.flatnonzero(mask)
-            ceil = gate.values(b.q_y[idx])
-            mask = mask.copy()
-            mask[idx] = ceil <= tau + slack
-        return mask
-
-    results = []
-    for branch in (BULK, SPARSE):
-        seeds = [np.array(w.rows)]
-        if bottoms[branch] is not None:
-            seeds.append(bottoms[branch].cond)
-        results.append(
-            _optimize(w, p_in_probs, p_out_probs, rate, cfg,
-                      objective=lambda b: b.d_c,
-                      feasible=_branch_feasible(base, branch, rate),
-                      seeds=seeds))
-    best, branch = _pick(*results)
-    if best is None:
-        return ExponentResult(math.inf, None, None, False)
-    return ExponentResult(best.value, _as_joint_type(p_in_dist, best.cond),
-                          branch, True)
+    return Problem(w, p_in, rate, cfg).md(tau)
 
 
 def r0_exponents(w: Channel, p_in: Distribution, tau: float,
@@ -447,12 +495,8 @@ def r0_exponents(w: Channel, p_in: Distribution, tau: float,
     the interference ceiling disabled, since a lone codeword has nothing to
     interfere with it.
     """
-    cfg = cfg or default_config(w)
-    p_out = output_marginal(p_in, w)
-    fa = _fa_core(w, p_in.probs, p_in, p_out.probs, tau, 0.0, cfg)
-    md = _md_core(w, p_in.probs, p_in, p_out.probs, tau, 0.0, cfg,
-                  use_ceiling=False)
-    return fa, md
+    problem = Problem(w, p_in, 0.0, cfg)
+    return problem.fa(tau), problem.md(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -460,66 +504,32 @@ def r0_exponents(w: Channel, p_in: Distribution, tau: float,
 # sharing a prescribed output marginal
 # ---------------------------------------------------------------------------
 
-def _fiber_values(first_rows: np.ndarray, q_out: np.ndarray, w: Channel,
-                  p_in: np.ndarray):
-    """Evaluate fiber candidates with the last conditional row derived from
-    the output-marginal constraint; returns (d_c, i_q, valid, cond)."""
-    partial = np.einsum("...xy,x->...y", first_rows, p_in[:-1])
-    last = (q_out - partial) / p_in[-1]
-    valid = (last >= -_SIMPLEX_TOL).all(axis=-1)
-    last = np.clip(last, 0.0, 1.0)
-    cond = np.concatenate([first_rows, last[..., None, :]], axis=-2)
-    d_c = cond_kl_vec(cond, w.rows, p_in)
-    i_q = np.maximum(entropy_vec(q_out) - cond_entropy_vec(cond, p_in), 0.0)
-    return d_c, i_q, valid, cond
-
-
 class _CeilingGate:
-    """Memoized batch evaluator for the interference ceiling, keyed by the
-    output marginal rounded to a fixed quantization."""
+    """Memoized batch evaluator for the interference ceiling on the base
+    fiber grid, without polish, keyed by the output marginal rounded to a
+    fixed quantization."""
 
-    def __init__(self, w: Channel, p_in: np.ndarray, p_out_probs: np.ndarray,
-                 rate: float, cfg: SolverConfig):
-        self.w = w
-        self.p_in = p_in
-        self.p_out_probs = p_out_probs
-        self.rate = rate
-        self.cfg = cfg
+    def __init__(self, problem: Problem):
+        self.problem = problem
         self.memo: dict[bytes, float] = {}
-        ny = w.num_outputs
-        lists = [_row_grid(ny, cfg.grid_points_per_dim)
-                 for _ in range(w.num_inputs - 1)]
-        if len(lists) == 1:
-            self.first_rows = lists[0]
-        else:
-            blocks = list(_joint_chunks(lists))
-            self.first_rows = np.concatenate(blocks, axis=0)
+        w = problem.w
+        lists = [_row_grid(w.num_outputs, problem.cfg.grid_points_per_dim)
+                 ] * (w.num_inputs - 1)
+        self.first_rows = np.concatenate(list(_joint_chunks(lists)), axis=0)
 
     def values(self, q_y_block: np.ndarray) -> np.ndarray:
-        rounded = np.round(q_y_block, _DELTA_QUANT)
-        uniq, inverse = np.unique(rounded, axis=0, return_inverse=True)
-        out = np.empty(uniq.shape[0])
-        fresh = [u for u in range(uniq.shape[0])
-                 if uniq[u].tobytes() not in self.memo]
+        uniq, inverse = np.unique(np.round(q_y_block, _DELTA_QUANT), axis=0,
+                                  return_inverse=True)
+        fresh = [q for q in uniq if q.tobytes() not in self.memo]
         if fresh:
-            d_m = kl_vec(uniq[fresh], self.p_out_probs)
-            for i, u in enumerate(fresh):
-                self.memo[uniq[u].tobytes()] = self._one(uniq[u], float(d_m[i]))
-        for u in range(uniq.shape[0]):
-            out[u] = self.memo[uniq[u].tobytes()]
+            d_m = kl_vec(np.array(fresh), self.problem.p_out.probs)
+            for q, d in zip(fresh, map(float, d_m)):
+                best = (self.problem._fiber_min(q, [self.first_rows])
+                        if math.isfinite(d) else None)
+                self.memo[q.tobytes()] = (-math.inf if best is None
+                                          else d - best.value)
+        out = np.array([self.memo[q.tobytes()] for q in uniq])
         return out[inverse.reshape(-1)]
-
-    def _one(self, q_out: np.ndarray, d_m: float) -> float:
-        if not math.isfinite(d_m):
-            return -math.inf
-        fr = self.first_rows
-        if fr.ndim == 2:
-            fr = fr[:, None, :]
-        d_c, i_q, valid, _ = _fiber_values(fr, q_out, self.w, self.p_in)
-        ok = valid & np.isfinite(d_c) & (i_q <= self.rate + _BRANCH_TOL)
-        if not ok.any():
-            return -math.inf
-        return float(d_m - d_c[ok].min())
 
 
 def interference_level(q_out: Distribution, w: Channel, p_in: Distribution,
@@ -535,125 +545,4 @@ def interference_level(q_out: Distribution, w: Channel, p_in: Distribution,
     """
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    cfg = cfg or default_config(w)
-    p_out = output_marginal(p_in, w)
-    d_m = float(kl_vec(q_out.probs, p_out.probs))
-    if not math.isfinite(d_m):
-        return -math.inf
-    g = cfg.grid_points_per_dim
-    ny = w.num_outputs
-    n_free = w.num_inputs - 1
-
-    def scan(row_lists, best):
-        if len(row_lists) == 1:
-            blocks = (row_lists[0][:, None, :],)
-        else:
-            blocks = _joint_chunks(row_lists)
-        for fr in blocks:
-            d_c, i_q, valid, cond = _fiber_values(fr, q_out.probs, w,
-                                                  p_in.probs)
-            ok = valid & np.isfinite(d_c) & (i_q <= rate + _BRANCH_TOL)
-            masked = np.where(ok, d_c, np.inf)
-            j = int(np.argmin(masked))
-            if math.isfinite(masked[j]) and (best is None or masked[j] < best[0]):
-                best = (float(masked[j]), np.array(cond[j, :-1]))
-        return best
-
-    best = scan([_row_grid(ny, g) for _ in range(n_free)], None)
-    if best is None:
-        return -math.inf
-    for level in range(1, cfg.refinement_rounds + 1):
-        width = cfg.refinement_shrink ** level
-        row_lists = []
-        for x in range(n_free):
-            center = best[1][x, 1:]
-            lo = np.clip(center - width / 2, 0.0, 1.0)
-            hi = np.clip(center + width / 2, 0.0, 1.0)
-            row_lists.append(np.vstack([best[1][x][None, :],
-                                        _row_grid(ny, g, lo, hi)]))
-        best = scan(row_lists, best)
-    return d_m - best[0]
-
-
-# ---------------------------------------------------------------------------
-# closed-form Z-channel oracle: a 1-D exhaustive scan over q = Q(0|1) with
-# the clean-input row pinned, used as an independent check on the generic
-# solver
-# ---------------------------------------------------------------------------
-
-_Z_CACHE: dict[tuple[float, int], tuple[np.ndarray, ...]] = {}
-
-
-def _hb(u: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(u > 0, u * np.log(u), 0.0)
-        b = np.where(u < 1, (1 - u) * np.log1p(-u), 0.0)
-    return -(a + b)
-
-
-def _db(u: np.ndarray, v: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(u > 0, u * (np.log(u) - math.log(v)), 0.0)
-        b = np.where(u < 1, (1 - u) * (np.log1p(-u) - math.log1p(-v)), 0.0)
-    return a + b
-
-
-def _z_slice(w_param: float, grid: int):
-    key = (w_param, grid)
-    if key not in _Z_CACHE:
-        q = np.linspace(0.0, 1.0, grid)
-        out0 = (1.0 + q) / 2.0
-        d_m = _db(out0, (1.0 + w_param) / 2.0)
-        d_c = 0.5 * _db(q, w_param)
-        i_q = np.maximum(_hb(out0) - 0.5 * _hb(q), 0.0)
-        _Z_CACHE[key] = (q, d_m, d_c, i_q)
-    return _Z_CACHE[key]
-
-
-def _z_joint_type(q: float) -> JointType:
-    return JointType(Distribution([0.5, 0.5]), [[1.0, 0.0], [q, 1.0 - q]])
-
-
-def zchannel_oracle_fa(w_param: float, rate: float, tau: float,
-                       grid: int = 1_000_000) -> ExponentResult:
-    """Exhaustive 1-D false-alarm scan for the binary Z-channel with uniform
-    input; independent of the generic grid solver."""
-    if not 0.0 < w_param < 1.0:
-        raise ValueError("w_param must lie in (0, 1)")
-    q, d_m, d_c, i_q = _z_slice(w_param, grid)
-    lam = d_m - d_c + np.maximum(i_q - rate, 0.0)
-    cost = d_m + np.maximum(i_q - rate, 0.0)
-    masked = np.where(lam >= tau, cost, np.inf)
-    j = int(np.argmin(masked))
-    if not math.isfinite(masked[j]):
-        return ExponentResult(math.inf, None, None, False)
-    branch = SPARSE if i_q[j] > rate else BULK
-    return ExponentResult(float(masked[j]), _z_joint_type(float(q[j])),
-                          branch, True)
-
-
-def zchannel_oracle_md(w_param: float, rate: float, tau: float,
-                       grid: int = 1_000_000) -> ExponentResult:
-    """Exhaustive 1-D missed-detection scan for the binary Z-channel with
-    uniform input, including the interference ceiling for ``tau <= 0``
-    (on this slice the ceiling of a bulk point is its own level, and sparse
-    output marginals admit no rate-feasible interferer)."""
-    if not 0.0 < w_param < 1.0:
-        raise ValueError("w_param must lie in (0, 1)")
-    if not rate > 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    q, d_m, d_c, i_q = _z_slice(w_param, grid)
-    lam = d_m - d_c + np.maximum(i_q - rate, 0.0)
-    if not float(lam.min()) < tau:
-        return ExponentResult(math.inf, None, None, False)
-    feas = lam <= tau
-    if tau <= 0:
-        ceiling = np.where(i_q <= rate, d_m - d_c, -np.inf)
-        feas &= ceiling <= tau
-    masked = np.where(feas, d_c, np.inf)
-    j = int(np.argmin(masked))
-    if not math.isfinite(masked[j]):
-        return ExponentResult(math.inf, None, None, False)
-    branch = SPARSE if i_q[j] > rate else BULK
-    return ExponentResult(float(masked[j]), _z_joint_type(float(q[j])),
-                          branch, True)
+    return Problem(w, p_in, rate, cfg).interference_level(q_out.probs)

@@ -22,22 +22,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exponents import (
-    ExponentResult,
-    SolverConfig,
-    _count_near_minimum,
-    _fa_core,
-    _lambda_extremum,
-    _md_core,
-    default_config,
-)
+from .exponents import Problem, SolverConfig
 from .measures import (
     Channel,
     Distribution,
     JointType,
     llr_level,
     mutual_information,
-    output_marginal,
 )
 
 _ZERO_TOL = 1e-9
@@ -116,12 +107,9 @@ class PhaseGrid:
 def lambda_extrema(w: Channel, p_in: Distribution, rate: float,
                    cfg: Optional[SolverConfig] = None) -> tuple[float, float]:
     """Extremes of the likelihood-ratio level over channel-compatible types."""
-    if not rate >= 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    cfg = cfg or default_config(w)
-    p_out = output_marginal(p_in, w)
-    lo = _lambda_extremum(w, p_in.probs, p_out.probs, rate, cfg, minimize=True)
-    hi = _lambda_extremum(w, p_in.probs, p_out.probs, rate, cfg, minimize=False)
+    problem = Problem(w, p_in, rate, cfg)
+    lo = problem.level_extremum(minimize=True)
+    hi = problem.level_extremum(minimize=False)
     if lo is None or hi is None:
         raise ValueError("channel admits no type with a finite level")
     return lo.value, hi.value
@@ -135,17 +123,10 @@ def tau_flat(w: Channel, p_in: Distribution, rate: float,
     channels, where a whole segment of types has zero cost) the first one in
     scan order is reported and ``multiple`` is set.
     """
-    if not rate >= 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    cfg = cfg or default_config(w)
-    p_out = output_marginal(p_in, w)
-    res = _fa_core(w, p_in.probs, p_in, p_out.probs, -math.inf, rate, cfg)
-    lam = llr_level(res.minimizer, w, p_out, rate)
-    multiple = _count_near_minimum(
-        w, p_in.probs, p_out.probs, rate, cfg,
-        objective=lambda b: b.d_m + np.maximum(b.i_q - rate, 0.0),
-        feasible=lambda b: np.isfinite(b.lam),
-        value=res.value) > 1
+    problem = Problem(w, p_in, rate, cfg)
+    res = problem.fa(-math.inf)
+    lam = llr_level(res.minimizer, w, problem.p_out, rate)
+    multiple = problem.count_near_minimum(res.value) > 1
     return FlatPoint(lam, res.value, res.minimizer, multiple)
 
 
@@ -156,11 +137,11 @@ def tau_kink(w: Channel, p_in: Distribution, rate: float,
     when the tag never changes there."""
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
-    cfg = cfg or default_config(w)
+    problem = Problem(w, p_in, rate, cfg)
     lam_min, _ = lambda_extrema(w, p_in, rate, cfg)
 
     def branch_at(tau: float) -> Optional[str]:
-        return md_exponent_cached(w, p_in, tau, rate, cfg).branch
+        return problem.md(tau).branch
 
     lo = lam_min + max(1e-4, abs(lam_min) * 1e-3)
     hi = -1e-6
@@ -178,20 +159,7 @@ def tau_kink(w: Channel, p_in: Distribution, rate: float,
     tag_hi = branch_at(hi)
     if tag_lo is None or tag_hi is None or tag_lo == tag_hi:
         return None
-    a, b = lo, hi
-    while b - a > 1e-5:
-        mid = 0.5 * (a + b)
-        if branch_at(mid) == tag_lo:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def md_exponent_cached(w, p_in, tau, rate, cfg) -> ExponentResult:
-    p_out = output_marginal(p_in, w)
-    return _md_core(w, p_in.probs, p_in, p_out.probs, tau, rate, cfg,
-                    use_ceiling=tau <= 0)
+    return _bisect(branch_at, lo, hi, tag_lo)
 
 
 def fa_cusp_rate(w: Channel, p_in: Distribution, rate_grid: Sequence[float],
@@ -199,7 +167,6 @@ def fa_cusp_rate(w: Channel, p_in: Distribution, rate_grid: Sequence[float],
     """Rate at which the unconstrained false-alarm minimizer changes branch
     (the cusp of ``tau_flat`` as a function of rate); ``None`` if the branch
     tag is the same across the whole grid."""
-    cfg = cfg or default_config(w)
     rates = list(rate_grid)
     if sorted(rates) != rates:
         raise ValueError("rate_grid must be sorted ascending")
@@ -216,11 +183,15 @@ def fa_cusp_rate(w: Channel, p_in: Distribution, rate_grid: Sequence[float],
                 None)
     if flip is None:
         return None
-    a, b = rates[flip], rates[flip + 1]
-    tag_a = tags[flip]
+    return _bisect(sparse_at, rates[flip], rates[flip + 1], tags[flip])
+
+
+def _bisect(probe, a: float, b: float, tag_a) -> float:
+    """Midpoint of ``[a, b]`` after halving it down to 1e-5 around the point
+    where ``probe`` stops returning ``tag_a``."""
     while b - a > 1e-5:
         mid = 0.5 * (a + b)
-        if sparse_at(mid) == tag_a:
+        if probe(mid) == tag_a:
             a = mid
         else:
             b = mid
@@ -231,8 +202,6 @@ def phase_report(w: Channel, p_in: Distribution, rate: float,
                  cfg: Optional[SolverConfig] = None,
                  locate_kink: bool = True) -> PhaseReport:
     """Assemble all critical thresholds for one rate."""
-    cfg = cfg or default_config(w)
-    p_out = output_marginal(p_in, w)
     jt_channel = JointType(p_in, w.rows)
     i_xy = mutual_information(jt_channel)
     lam_min, lam_max = lambda_extrema(w, p_in, rate, cfg)
@@ -278,18 +247,15 @@ def tradeoff_curve(w: Channel, p_in: Distribution, rate: float,
         raise ValueError(f"rate must be > 0, got {rate}")
     if tau_samples < 2:
         raise ValueError("tau_samples must be >= 2")
-    cfg = cfg or default_config(w)
-    p_out = output_marginal(p_in, w)
+    problem = Problem(w, p_in, rate, cfg)
     i_xy = mutual_information(JointType(p_in, w.rows))
     lam_min, _ = lambda_extrema(w, p_in, rate, cfg)
     tau_star = max(0.0, i_xy - rate)
     taus = np.linspace(lam_min - margin, tau_star + margin, tau_samples)
     points = []
     for tau in taus:
-        fa = _fa_core(w, p_in.probs, p_in, p_out.probs, float(tau), rate, cfg)
-        md = _md_core(w, p_in.probs, p_in, p_out.probs, float(tau), rate, cfg,
-                      use_ceiling=tau <= 0)
-        points.append((float(tau), fa.value, md.value))
+        tau = float(tau)
+        points.append((tau, problem.fa(tau).value, problem.md(tau).value))
     return TradeoffCurve(points, _envelope(points))
 
 
@@ -318,51 +284,29 @@ def phase_grid(w: Channel, p_in: Distribution,
                cfg: Optional[SolverConfig] = None) -> PhaseGrid:
     """Tabulate both exponents and their region tags over a lattice, along
     with the per-rate boundary series."""
-    cfg = cfg or default_config(w)
     t_lo, t_hi, t_n = tau_range
     r_lo, r_hi, r_n = rate_range
     if t_n < 2 or r_n < 2:
         raise ValueError("tau_range and rate_range need at least 2 points")
     taus = np.linspace(t_lo, t_hi, int(t_n))
     rates = np.linspace(r_lo, r_hi, int(r_n))
-    p_out = output_marginal(p_in, w)
     e_fa = np.empty((rates.size, taus.size))
     e_md = np.empty_like(e_fa)
     fa_regions: list[list[RegionTag]] = []
     md_regions: list[list[RegionTag]] = []
-    tau_flat_series = np.empty(rates.size)
-    lam_max_series = np.empty(rates.size)
-    lam_min_series = np.empty(rates.size)
-    tau_star_series = np.empty(rates.size)
+    boundaries = {name: np.empty(rates.size) for name in
+                  ("tau_flat", "lambda_max", "lambda_min", "tau_star")}
     for k, rate in enumerate(rates):
         rate = float(rate)
+        problem = Problem(w, p_in, rate, cfg)
         report = phase_report(w, p_in, rate, cfg, locate_kink=False)
-        tau_flat_series[k] = report.tau_flat
-        lam_max_series[k] = report.lambda_max
-        lam_min_series[k] = report.lambda_min
-        tau_star_series[k] = report.tau_star
-        fa_row: list[RegionTag] = []
-        md_row: list[RegionTag] = []
+        for name, series in boundaries.items():
+            series[k] = getattr(report, name)
         for t, tau in enumerate(taus):
-            tau = float(tau)
-            e_fa[k, t] = _fa_core(w, p_in.probs, p_in, p_out.probs, tau, rate,
-                                  cfg).value
-            if rate > 0:
-                e_md[k, t] = _md_core(w, p_in.probs, p_in, p_out.probs, tau,
-                                      rate, cfg, use_ceiling=tau <= 0).value
-            else:
-                e_md[k, t] = _md_core(w, p_in.probs, p_in, p_out.probs, tau,
-                                      rate, cfg, use_ceiling=False).value
-            tags = classify(tau, report)
-            fa_row.append(tags[0])
-            md_row.append(tags[1])
-        fa_regions.append(fa_row)
-        md_regions.append(md_row)
-    boundaries = {
-        "tau_flat": tau_flat_series,
-        "lambda_max": lam_max_series,
-        "lambda_min": lam_min_series,
-        "tau_star": tau_star_series,
-    }
+            e_fa[k, t] = problem.fa(float(tau)).value
+            e_md[k, t] = problem.md(float(tau)).value
+        tags = [classify(float(tau), report) for tau in taus]
+        fa_regions.append([fa for fa, _ in tags])
+        md_regions.append([md for _, md in tags])
     return PhaseGrid(taus, rates, e_fa, e_md, fa_regions, md_regions,
                      boundaries)

@@ -2,13 +2,17 @@
 
 Everything here is deliberately written from scratch against the defining
 formulas (closed-form binary expressions, dense scans, direct enumeration)
-and never calls into the package solvers it is used to check.
+and never calls into the package solvers it is used to check; only the
+package's result and joint-type classes and its branch tags are imported.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from softcover import Distribution, ExponentResult, JointType
+from softcover.exponents import BULK, SPARSE
 
 
 def hb(u):
@@ -264,3 +268,87 @@ def single_codeword_joint_type_prob(y, comp, counts):
     for c in comp:
         total //= math.factorial(int(c))
     return ways / total
+
+
+# ---------------------------------------------------------------------------
+# closed-form Z-channel oracle: a 1-D exhaustive scan over q = Q(0|1) with
+# the clean-input row pinned, used as an independent check on the generic
+# solver
+# ---------------------------------------------------------------------------
+
+_Z_CACHE: dict[tuple[float, int], tuple[np.ndarray, ...]] = {}
+
+
+def _hb(u: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(u > 0, u * np.log(u), 0.0)
+        b = np.where(u < 1, (1 - u) * np.log1p(-u), 0.0)
+    return -(a + b)
+
+
+def _db(u: np.ndarray, v: float) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(u > 0, u * (np.log(u) - math.log(v)), 0.0)
+        b = np.where(u < 1, (1 - u) * (np.log1p(-u) - math.log1p(-v)), 0.0)
+    return a + b
+
+
+def _z_slice(w_param: float, grid: int):
+    key = (w_param, grid)
+    if key not in _Z_CACHE:
+        q = np.linspace(0.0, 1.0, grid)
+        out0 = (1.0 + q) / 2.0
+        d_m = _db(out0, (1.0 + w_param) / 2.0)
+        d_c = 0.5 * _db(q, w_param)
+        i_q = np.maximum(_hb(out0) - 0.5 * _hb(q), 0.0)
+        _Z_CACHE[key] = (q, d_m, d_c, i_q)
+    return _Z_CACHE[key]
+
+
+def _z_joint_type(q: float) -> JointType:
+    return JointType(Distribution([0.5, 0.5]), [[1.0, 0.0], [q, 1.0 - q]])
+
+
+def zchannel_oracle_fa(w_param: float, rate: float, tau: float,
+                       grid: int = 1_000_000) -> ExponentResult:
+    """Exhaustive 1-D false-alarm scan for the binary Z-channel with uniform
+    input; independent of the generic grid solver."""
+    if not 0.0 < w_param < 1.0:
+        raise ValueError("w_param must lie in (0, 1)")
+    q, d_m, d_c, i_q = _z_slice(w_param, grid)
+    lam = d_m - d_c + np.maximum(i_q - rate, 0.0)
+    cost = d_m + np.maximum(i_q - rate, 0.0)
+    masked = np.where(lam >= tau, cost, np.inf)
+    j = int(np.argmin(masked))
+    if not math.isfinite(masked[j]):
+        return ExponentResult(math.inf, None, None, False)
+    branch = SPARSE if i_q[j] > rate else BULK
+    return ExponentResult(float(masked[j]), _z_joint_type(float(q[j])),
+                          branch, True)
+
+
+def zchannel_oracle_md(w_param: float, rate: float, tau: float,
+                       grid: int = 1_000_000) -> ExponentResult:
+    """Exhaustive 1-D missed-detection scan for the binary Z-channel with
+    uniform input, including the interference ceiling for ``tau <= 0``
+    (on this slice the ceiling of a bulk point is its own level, and sparse
+    output marginals admit no rate-feasible interferer)."""
+    if not 0.0 < w_param < 1.0:
+        raise ValueError("w_param must lie in (0, 1)")
+    if not rate > 0:
+        raise ValueError(f"rate must be > 0, got {rate}")
+    q, d_m, d_c, i_q = _z_slice(w_param, grid)
+    lam = d_m - d_c + np.maximum(i_q - rate, 0.0)
+    if not float(lam.min()) < tau:
+        return ExponentResult(math.inf, None, None, False)
+    feas = lam <= tau
+    if tau <= 0:
+        ceiling = np.where(i_q <= rate, d_m - d_c, -np.inf)
+        feas &= ceiling <= tau
+    masked = np.where(feas, d_c, np.inf)
+    j = int(np.argmin(masked))
+    if not math.isfinite(masked[j]):
+        return ExponentResult(math.inf, None, None, False)
+    branch = SPARSE if i_q[j] > rate else BULK
+    return ExponentResult(float(masked[j]), _z_joint_type(float(q[j])),
+                          branch, True)

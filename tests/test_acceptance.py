@@ -36,14 +36,17 @@ from softcover import (
     sample_codebook,
     tau_kink,
     tce,
-    zchannel_oracle_fa,
-    zchannel_oracle_md,
 )
 from softcover.cli import ZCHANNEL_CHECKS, main, zchannel_checkpoints
 from softcover.measures import kl_vec
 from softcover.simulate import codebook_size, joint_type_counts
 
-from _oracles import r0_type_class_sums, single_codeword_joint_type_prob
+from _oracles import (
+    r0_type_class_sums,
+    single_codeword_joint_type_prob,
+    zchannel_oracle_fa,
+    zchannel_oracle_md,
+)
 
 
 def _report(number: int, name: str, ok: bool, detail: str = ""):

@@ -105,6 +105,14 @@ def test_exponent_rate_zero_uses_single_codeword_formulas(z_spec_file, capsys):
     assert payload["e_md"] == pytest.approx(0.11503133, abs=1e-4)
 
 
+@pytest.mark.parametrize("flag", [["--grid", "0"], ["--shrink", "0"]])
+def test_zero_solver_flags_are_input_errors(z_spec_file, capsys, flag):
+    assert main(["exponent", "--spec", z_spec_file, "--tau", "0.1",
+                 "--rate", "0.05"] + flag) == 2
+    assert main(["verify-zchannel"] + flag) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_missing_spec_file_is_input_error(capsys):
     assert main(["info", "--spec", "/nonexistent.channel"]) == 2
 
@@ -197,6 +205,26 @@ def test_simulate_exact_r0_matches_oracle(z_spec_file, tmp_path, capsys):
                                                      abs=1e-12)
     assert payload["beta"]["mean"] == pytest.approx(0.04100625, abs=1e-12)
     assert payload["realized_m"] == 1
+
+
+def test_simulate_exact_r0_summary_numbers_fit_a_double(z_spec_file, tmp_path,
+                                                        capsys):
+    out = str(tmp_path / "sim.csv")
+    assert main(["simulate", "--spec", z_spec_file, "--n", "2000", "--rate",
+                 "0", "--tau", "0.05", "--mode", "exact-r0", "--out", out]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["trials"] == 1
+    assert len(open(out).read().splitlines()) == 1 + payload["trials"]
+
+    def numbers(value):
+        if isinstance(value, dict):
+            for v in value.values():
+                yield from numbers(v)
+        elif isinstance(value, (int, float)):
+            yield value
+
+    for value in numbers(payload):
+        assert isinstance(value, float) or abs(value) < 2 ** 53
 
 
 @pytest.mark.parametrize("name", ["z-channel", "z-kanal-\u00e4"])

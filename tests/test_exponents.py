@@ -16,11 +16,15 @@ from softcover import (
     mutual_information,
     output_marginal,
     r0_exponents,
+)
+
+from _oracles import (
+    bsc_scan_r0,
+    z_scan_fa,
+    z_scan_md,
     zchannel_oracle_fa,
     zchannel_oracle_md,
 )
-
-from _oracles import bsc_scan_r0, z_scan_fa, z_scan_md
 
 # frozen by independent dense scans over the channel-compatible slice
 Z_FLAT_R005 = 0.11079181
@@ -37,8 +41,6 @@ def test_config_validation():
         SolverConfig(refinement_shrink=1.5)
     with pytest.raises(ValueError):
         SolverConfig(constraint_slack=-0.1)
-    with pytest.raises(ValueError):
-        SolverConfig(tie_break="random")
 
 
 def test_default_config_scales_with_dimension(zchannel, random_2x3_channels):
