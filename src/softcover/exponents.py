@@ -15,9 +15,9 @@ exponents, the level extrema and the interference level with one masked
 argmin (``_scan``) and one shrinking-box loop (``_polish``); the public
 functions build one per call.
 Joint types that violate the channel support carry an infinite conditional
-divergence and a level of ``-inf``; they drop out of both problems without
-special casing, which is what produces the strictly positive false-alarm
-floor on singular channels such as the Z-channel.
+divergence and a level of ``-inf``, so they are never feasible; that is what
+produces the strictly positive false-alarm floor on singular channels such as
+the Z-channel. The candidate lists drop them before any measure is computed.
 
 Determinism: candidates are scanned in a fixed row-major order, the first
 incumbent wins ties, and refinement only replaces an incumbent on a strict
@@ -28,12 +28,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .measures import (
+    SUPPORT_ATOL,
     Channel,
     Distribution,
     JointType,
@@ -142,6 +146,10 @@ class _Bundle:
         self.i_q = np.maximum(
             entropy_vec(self.q_y) - cond_entropy_vec(cond, p_in), 0.0)
 
+    @property
+    def nbytes(self) -> int:
+        return sum(getattr(self, name).nbytes for name in self.__slots__)
+
     def at_rate(self, rate: float) -> _RatedBundle:
         with np.errstate(invalid="ignore"):
             raw = self.d_m - self.d_c + np.maximum(self.i_q - rate, 0.0)
@@ -168,6 +176,12 @@ def _row_grid(ny: int, g: int, lo=None, hi=None) -> np.ndarray:
     return np.column_stack([head, free])
 
 
+def _in_support(rows: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The candidate rows with no mass above ``SUPPORT_ATOL`` outside
+    ``support``, in their original order."""
+    return rows[~(rows[:, ~support] > SUPPORT_ATOL).any(axis=1)]
+
+
 def _joint_chunks(row_lists: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
     """Cartesian product of per-input row candidates, yielded in row-major
     order (first input slowest) in memory-bounded blocks."""
@@ -192,8 +206,9 @@ class _Incumbent:
 
 
 _CACHE_CANDIDATE_LIMIT = 2_000_000
-_BUNDLE_CACHE: dict[tuple, list[_Bundle]] = {}
-_BUNDLE_CACHE_SLOTS = 4
+_BUNDLE_CACHE_BYTES = 1 << 28  # 256 MiB of cached base-grid measure arrays
+_BUNDLE_CACHE: OrderedDict[tuple, tuple[list[_Bundle], int]] = OrderedDict()
+_BUNDLE_LOCK = threading.Lock()
 
 
 def _refine_points(ny: int, g: int) -> int:
@@ -204,21 +219,31 @@ def _refine_points(ny: int, g: int) -> int:
     return min(g, per_row)
 
 
-def _base_bundles(w: Channel, p_in, p_out_probs, g: int):
-    """Measure bundles of the full base grid, cached per channel when the
-    candidate count is moderate, otherwise streamed."""
-    row_lists = [_row_grid(w.num_outputs, g)] * w.num_inputs
-    total = math.prod(len(r) for r in row_lists)
-    if total > _CACHE_CANDIDATE_LIMIT:
-        return (_Bundle(cond, w.rows, p_in, p_out_probs)
-                for cond in _joint_chunks(row_lists))
-    key = (w.rows.tobytes(), p_in.tobytes(), p_out_probs.tobytes(), g)
-    if key not in _BUNDLE_CACHE:
-        if len(_BUNDLE_CACHE) >= _BUNDLE_CACHE_SLOTS:
-            _BUNDLE_CACHE.pop(next(iter(_BUNDLE_CACHE)))
-        _BUNDLE_CACHE[key] = [_Bundle(cond, w.rows, p_in, p_out_probs)
-                              for cond in _joint_chunks(row_lists)]
-    return _BUNDLE_CACHE[key]
+def _cached_bundles(key: tuple, build) -> list[_Bundle]:
+    """The bundles cached under ``key``, built by ``build()`` on a miss.
+
+    The cache is a least-recently-used map bounded by the total ``nbytes``
+    of its bundles (``_BUNDLE_CACHE_BYTES``); a list larger than the bound is
+    returned without being cached. Lookup and insertion hold a lock, the
+    build does not, so two threads may build the same list; the first one
+    inserted is kept and returned to both.
+    """
+    with _BUNDLE_LOCK:
+        if key in _BUNDLE_CACHE:
+            _BUNDLE_CACHE.move_to_end(key)
+            return _BUNDLE_CACHE[key][0]
+    bundles = build()
+    size = sum(b.nbytes for b in bundles)
+    with _BUNDLE_LOCK:
+        if key in _BUNDLE_CACHE:
+            _BUNDLE_CACHE.move_to_end(key)
+            return _BUNDLE_CACHE[key][0]
+        if size <= _BUNDLE_CACHE_BYTES:
+            _BUNDLE_CACHE[key] = (bundles, size)
+            total = sum(n for _, n in _BUNDLE_CACHE.values())
+            while total > _BUNDLE_CACHE_BYTES:
+                total -= _BUNDLE_CACHE.popitem(last=False)[1][1]
+    return bundles
 
 
 def _masked(block, objective, feasible) -> np.ndarray:
@@ -287,11 +312,14 @@ def _fiber(first_rows: np.ndarray, q_out: np.ndarray, w: Channel,
     """Fiber candidates with the last conditional row derived from the
     output-marginal constraint; feasible where that row is stochastic, the
     conditional divergence finite and the mutual information at most
-    ``rate``."""
+    ``rate``. ``q_out`` may carry leading axes (``(..., 1, ny)`` against
+    ``(rows, X - 1, ny)`` free rows) to evaluate several fibers at once."""
     partial = np.einsum("...xy,x->...y", first_rows, p_in[:-1])
     last = (q_out - partial) / p_in[-1]
     valid = (last >= -_SIMPLEX_TOL).all(axis=-1)
     last = np.clip(last, 0.0, 1.0)
+    first_rows = np.broadcast_to(first_rows,
+                                 last.shape[:-1] + first_rows.shape[-2:])
     cond = np.concatenate([first_rows, last[..., None, :]], axis=-2)
     d_c = cond_kl_vec(cond, w.rows, p_in)
     i_q = np.maximum(entropy_vec(q_out) - cond_entropy_vec(cond, p_in), 0.0)
@@ -304,9 +332,9 @@ class Problem:
     solver configuration.
 
     The output marginal is derived once. The per-branch level extrema, which
-    seed the exponent solves and do not depend on the threshold, are
-    computed on first use and kept, so a threshold sweep should build one
-    instance per rate.
+    seed the exponent solves, and the memo of the interference-ceiling gate
+    do not depend on the threshold; they are computed on first use and
+    kept, so a threshold sweep should build one instance per rate.
     """
 
     def __init__(self, w: Channel, p_in: Distribution, rate: float,
@@ -320,13 +348,37 @@ class Problem:
         self.p_out = output_marginal(p_in, w)
         self._extrema: dict[tuple, Optional[_Incumbent]] = {}
 
+    @cached_property
+    def _gate(self) -> _CeilingGate:
+        return _CeilingGate(self)
+
     def _rated(self, cond: np.ndarray) -> _RatedBundle:
         return _Bundle(cond, self.w.rows, self.p_in.probs,
                        self.p_out.probs).at_rate(self.rate)
 
+    def _joint(self, row_lists: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+        """Joint candidates from row lists for the first ``len(row_lists)``
+        inputs, in row-major blocks, without the rows that make ``D_c``
+        infinite: rows with mass outside the support of ``W(.|x)`` for an
+        input with positive probability. Every scan already rejects those
+        candidates, and the survivors keep their order, so each scan picks
+        the same candidate as on the full lists."""
+        return _joint_chunks([
+            rows if p <= SUPPORT_ATOL else _in_support(rows, support)
+            for rows, p, support in zip(row_lists, self.p_in.probs,
+                                        self.w.support_mask)])
+
     def _base(self):
-        return _base_bundles(self.w, self.p_in.probs, self.p_out.probs,
-                             self.cfg.grid_points_per_dim)
+        """Measure bundles of the base grid, cached per channel, input and
+        grid when the grid is moderate, otherwise streamed."""
+        w, g = self.w, self.cfg.grid_points_per_dim
+        row_lists = [_row_grid(w.num_outputs, g)] * w.num_inputs
+        bundles = (_Bundle(cond, w.rows, self.p_in.probs, self.p_out.probs)
+                   for cond in self._joint(row_lists))
+        if math.prod(len(r) for r in row_lists) > _CACHE_CANDIDATE_LIMIT:
+            return bundles
+        key = (w.rows.tobytes(), self.p_in.probs.tobytes(), g)
+        return _cached_bundles(key, lambda: list(bundles))
 
     def _solve(self, objective, feasible, seeds) -> Optional[_Incumbent]:
         """Scan the seeds, then the base grid, then polish the incumbent;
@@ -338,7 +390,7 @@ class Problem:
             return None
 
         def evaluate(row_lists, best):
-            return _scan(map(self._rated, _joint_chunks(row_lists)),
+            return _scan(map(self._rated, self._joint(row_lists)),
                          objective, feasible, best)
 
         points = _refine_points(self.w.num_outputs,
@@ -406,7 +458,7 @@ class Problem:
                       default=math.inf)
         if not lam_min < tau - slack:
             return ExponentResult(math.inf, None, None, False)
-        gate = _CeilingGate(self) if self.rate > 0 and tau <= 0 else None
+        gate = self._gate if self.rate > 0 and tau <= 0 else None
 
         def base(b):
             mask = np.isfinite(b.d_c) & (b.lam <= tau + slack)
@@ -448,7 +500,7 @@ class Problem:
         ny, g = self.w.num_outputs, self.cfg.grid_points_per_dim
 
         def evaluate(row_lists, best):
-            return self._fiber_min(q_out, _joint_chunks(row_lists), best)
+            return self._fiber_min(q_out, self._joint(row_lists), best)
 
         best = evaluate([_row_grid(ny, g)] * (self.w.num_inputs - 1), None)
         if best is None:
@@ -506,8 +558,15 @@ def r0_exponents(w: Channel, p_in: Distribution, tau: float,
 
 class _CeilingGate:
     """Memoized batch evaluator for the interference ceiling on the base
-    fiber grid, without polish, keyed by the output marginal rounded to a
-    fixed quantization."""
+    fiber grid, without polish, keyed by the output marginal rounded to
+    ``_DELTA_QUANT`` decimals.
+
+    The marginals missing from the memo are evaluated together: one
+    broadcast of ``_fiber`` over a leading marginal axis, in chunks of at
+    most ``_CHUNK_ROWS`` (marginal, fiber row) pairs, then the masked
+    minimum of ``D_c`` along the fiber-row axis. Only that minimum enters
+    the ceiling, so no argmin is taken.
+    """
 
     def __init__(self, problem: Problem):
         self.problem = problem
@@ -515,19 +574,26 @@ class _CeilingGate:
         w = problem.w
         lists = [_row_grid(w.num_outputs, problem.cfg.grid_points_per_dim)
                  ] * (w.num_inputs - 1)
-        self.first_rows = np.concatenate(list(_joint_chunks(lists)), axis=0)
+        self.first_rows = np.concatenate(list(problem._joint(lists)), axis=0)
 
     def values(self, q_y_block: np.ndarray) -> np.ndarray:
         uniq, inverse = np.unique(np.round(q_y_block, _DELTA_QUANT), axis=0,
                                   return_inverse=True)
-        fresh = [q for q in uniq if q.tobytes() not in self.memo]
-        if fresh:
-            d_m = kl_vec(np.array(fresh), self.problem.p_out.probs)
-            for q, d in zip(fresh, map(float, d_m)):
-                best = (self.problem._fiber_min(q, [self.first_rows])
-                        if math.isfinite(d) else None)
-                self.memo[q.tobytes()] = (-math.inf if best is None
-                                          else d - best.value)
+        fresh = uniq[[q.tobytes() not in self.memo for q in uniq]]
+        if len(fresh):
+            problem = self.problem
+            level = kl_vec(fresh, problem.p_out.probs)
+            finite = np.flatnonzero(np.isfinite(level))
+            level[~np.isfinite(level)] = -np.inf
+            step = max(1, _CHUNK_ROWS // len(self.first_rows))
+            for start in range(0, finite.size, step):
+                idx = finite[start:start + step]
+                fib = _fiber(self.first_rows, fresh[idx, None, :], problem.w,
+                             problem.p_in.probs, problem.rate)
+                d_c = _masked(fib, lambda f: f.d_c, lambda f: f.feasible)
+                level[idx] -= d_c.min(axis=1)
+            self.memo.update(zip(map(np.ndarray.tobytes, fresh),
+                                 map(float, level)))
         out = np.array([self.memo[q.tobytes()] for q in uniq])
         return out[inverse.reshape(-1)]
 

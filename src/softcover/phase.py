@@ -138,7 +138,7 @@ def tau_kink(w: Channel, p_in: Distribution, rate: float,
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
     problem = Problem(w, p_in, rate, cfg)
-    lam_min, _ = lambda_extrema(w, p_in, rate, cfg)
+    lam_min = problem.level_extremum(minimize=True).value
 
     def branch_at(tau: float) -> Optional[str]:
         return problem.md(tau).branch
@@ -249,7 +249,7 @@ def tradeoff_curve(w: Channel, p_in: Distribution, rate: float,
         raise ValueError("tau_samples must be >= 2")
     problem = Problem(w, p_in, rate, cfg)
     i_xy = mutual_information(JointType(p_in, w.rows))
-    lam_min, _ = lambda_extrema(w, p_in, rate, cfg)
+    lam_min = problem.level_extremum(minimize=True).value
     tau_star = max(0.0, i_xy - rate)
     taus = np.linspace(lam_min - margin, tau_star + margin, tau_samples)
     points = []

@@ -279,29 +279,11 @@ def single_codeword_joint_type_prob(y, comp, counts):
 _Z_CACHE: dict[tuple[float, int], tuple[np.ndarray, ...]] = {}
 
 
-def _hb(u: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(u > 0, u * np.log(u), 0.0)
-        b = np.where(u < 1, (1 - u) * np.log1p(-u), 0.0)
-    return -(a + b)
-
-
-def _db(u: np.ndarray, v: float) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(u > 0, u * (np.log(u) - math.log(v)), 0.0)
-        b = np.where(u < 1, (1 - u) * (np.log1p(-u) - math.log1p(-v)), 0.0)
-    return a + b
-
-
 def _z_slice(w_param: float, grid: int):
     key = (w_param, grid)
     if key not in _Z_CACHE:
         q = np.linspace(0.0, 1.0, grid)
-        out0 = (1.0 + q) / 2.0
-        d_m = _db(out0, (1.0 + w_param) / 2.0)
-        d_c = 0.5 * _db(q, w_param)
-        i_q = np.maximum(_hb(out0) - 0.5 * _hb(q), 0.0)
-        _Z_CACHE[key] = (q, d_m, d_c, i_q)
+        _Z_CACHE[key] = (q, *z_measures(q, w_param))
     return _Z_CACHE[key]
 
 

@@ -9,6 +9,7 @@ the numbers has to re-record them and say why.
 import pytest
 
 from softcover import (
+    Channel,
     Distribution,
     SolverConfig,
     fa_exponent,
@@ -108,3 +109,75 @@ def test_rate_zero_exponents(zchannel, uniform2):
     assert _hex(md) == ("0x1.d72b165ba9f94p-4", "sparse",
                         (Z_ONE, Z_ZERO, "0x1.9044ae85b9e8cp-1",
                          "0x1.beed45e9185cfp-3"))
+
+
+# Channels with structural zeros: the solver may drop candidates that put
+# mass outside the support of an input with positive probability, but never
+# the rows of an input with no mass, and never change a number by doing so.
+SPARSE_2X3 = [[0.6, 0.4, 0.0], [0.0, 0.3, 0.7]]
+
+FA_SPARSE_2X3 = {
+    0.05: ("0x1.2cc746d166d77p-2", "sparse",
+           ("0x1.d89e60f04c758p-2", "0x1.13b0cf87d9c54p-1", Z_ZERO,
+            Z_ZERO, "0x1.0000000000000p-1", "0x1.0000000000000p-1")),
+    0.3: ("0x1.400768bf80dc8p-2", "sparse",
+          ("0x1.15242e6bdc806p-1", "0x1.d5b7a32846ff5p-2", Z_ZERO,
+           Z_ZERO, "0x1.8e53d4daffdd1p-2", "0x1.38d6159280118p-1")),
+}
+
+MD_SPARSE_2X3 = {
+    -0.02: ("0x1.31eb6f199480dp-1", "bulk",
+            ("0x1.a43728d2ceb64p-3", "0x1.96f235cb4c527p-1", Z_ZERO,
+             Z_ZERO, "0x1.d8e448a2bf6b8p-1", "0x1.38ddbaea04a46p-4")),
+    -0.03: ("0x1.4ee59bfd5c4ecp-1", "sparse",
+            ("0x1.ed1fcff0b550cp-3", "0x1.84b80c03d2abdp-1", Z_ZERO,
+             Z_ZERO, "0x1.f05def57ca7aap-1", "0x1.f4421506b0acap-6")),
+}
+
+
+@pytest.mark.parametrize("tau", sorted(FA_SPARSE_2X3))
+def test_fa_on_2x3_with_structural_zeros(uniform2, tau):
+    res = fa_exponent(Channel(SPARSE_2X3), uniform2, tau, 0.1, CFG17)
+    assert _hex(res) == FA_SPARSE_2X3[tau]
+
+
+@pytest.mark.parametrize("tau", sorted(MD_SPARSE_2X3))
+def test_gated_md_on_2x3_with_structural_zeros(uniform2, tau):
+    res = md_exponent(Channel(SPARSE_2X3), uniform2, tau, 0.1, CFG17)
+    assert _hex(res) == MD_SPARSE_2X3[tau]
+
+
+def test_zchannel_with_skewed_input(zchannel):
+    p_in = Distribution([0.3, 0.7])
+    assert _hex(fa_exponent(zchannel, p_in, 0.1, 0.05)) == (
+        "0x1.b94fef909e488p-4", "sparse",
+        (Z_ONE, Z_ZERO, "0x1.0c67168f8e7dep-1", "0x1.e731d2e0e3045p-2"))
+    assert _hex(md_exponent(zchannel, p_in, 0.1, 0.05)) == (
+        "0x1.fb6b789b02f1bp-8", "sparse",
+        (Z_ONE, Z_ZERO, "0x1.0c6759ab6d00bp-1", "0x1.e7314ca925feap-2"))
+    assert _hex(md_exponent(zchannel, p_in, -0.05, 0.05)) == (
+        "0x1.331a540eb7188p-2", "bulk",
+        (Z_ONE, Z_ZERO, "0x1.c759253543aebp-1", "0x1.c536d655e28aap-4"))
+
+
+@pytest.mark.parametrize("p_in", [[1.0, 0.0], [0.0, 1.0]])
+def test_zero_mass_input_keeps_all_its_rows(p_in):
+    # every row of the massless input ties, so the tie count is the number
+    # of its grid rows (401) times the one tying row of the other input
+    w = Channel([[0.9, 0.1], [0.0, 1.0]])
+    fp = tau_flat(w, Distribution(p_in), 0.05)
+    assert (fp.tau_flat.hex(), fp.fa_flat_value.hex(), fp.multiple) == \
+        (Z_ZERO, Z_ZERO, True)
+    if p_in == [1.0, 0.0]:
+        assert _hex(fa_exponent(w, Distribution(p_in), -0.1, 0.05)) == (
+            Z_ZERO, "bulk",
+            ("0x1.ccccccccccccdp-1", "0x1.999999999999ap-4", Z_ZERO, Z_ONE))
+
+
+def test_interference_level_on_zchannel(zchannel, uniform2):
+    level = interference_level(Distribution([0.9, 0.1]), zchannel, uniform2,
+                               0.1)
+    assert level.hex() == "-0x1.232ef996443a8p-5"
+    level = interference_level(Distribution([0.6, 0.4]), zchannel, uniform2,
+                               0.1)
+    assert level == float("-inf")
