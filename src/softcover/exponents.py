@@ -307,13 +307,25 @@ class _Fiber(NamedTuple):
     feasible: np.ndarray
 
 
+def _fiber_order(p_in: np.ndarray) -> np.ndarray:
+    """The inputs in fiber order: those with free rows, then the input whose
+    row the output-marginal constraint determines, the last one with
+    positive mass."""
+    pivot = int(np.flatnonzero(p_in > 0)[-1])
+    return np.append(np.delete(np.arange(p_in.size), pivot), pivot)
+
+
 def _fiber(first_rows: np.ndarray, q_out: np.ndarray, w: Channel,
            p_in: np.ndarray, rate: float) -> _Fiber:
-    """Fiber candidates with the last conditional row derived from the
-    output-marginal constraint; feasible where that row is stochastic, the
-    conditional divergence finite and the mutual information at most
-    ``rate``. ``q_out`` may carry leading axes (``(..., 1, ny)`` against
-    ``(rows, X - 1, ny)`` free rows) to evaluate several fibers at once."""
+    """Fiber candidates with the row of the last input with positive mass
+    derived from the output-marginal constraint; feasible where that row is
+    stochastic, the conditional divergence finite and the mutual
+    information at most ``rate``. ``first_rows`` are the rows of the other
+    inputs, and the rows of ``cond`` are in ``_fiber_order``. ``q_out`` may
+    carry leading axes (``(..., 1, ny)`` against ``(rows, X - 1, ny)`` free
+    rows) to evaluate several fibers at once."""
+    order = _fiber_order(p_in)
+    p_in, w_rows = p_in[order], w.rows[order]
     partial = np.einsum("...xy,x->...y", first_rows, p_in[:-1])
     last = (q_out - partial) / p_in[-1]
     valid = (last >= -_SIMPLEX_TOL).all(axis=-1)
@@ -321,7 +333,7 @@ def _fiber(first_rows: np.ndarray, q_out: np.ndarray, w: Channel,
     first_rows = np.broadcast_to(first_rows,
                                  last.shape[:-1] + first_rows.shape[-2:])
     cond = np.concatenate([first_rows, last[..., None, :]], axis=-2)
-    d_c = cond_kl_vec(cond, w.rows, p_in)
+    d_c = cond_kl_vec(cond, w_rows, p_in)
     i_q = np.maximum(entropy_vec(q_out) - cond_entropy_vec(cond, p_in), 0.0)
     return _Fiber(cond, d_c,
                   valid & np.isfinite(d_c) & (i_q <= rate + _BRANCH_TOL))
@@ -356,17 +368,26 @@ class Problem:
         return _Bundle(cond, self.w.rows, self.p_in.probs,
                        self.p_out.probs).at_rate(self.rate)
 
-    def _joint(self, row_lists: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-        """Joint candidates from row lists for the first ``len(row_lists)``
-        inputs, in row-major blocks, without the rows that make ``D_c``
-        infinite: rows with mass outside the support of ``W(.|x)`` for an
-        input with positive probability. Every scan already rejects those
-        candidates, and the survivors keep their order, so each scan picks
-        the same candidate as on the full lists."""
+    def _joint(self, row_lists: Sequence[np.ndarray],
+               inputs: Optional[Sequence[int]] = None) -> Iterator[np.ndarray]:
+        """Joint candidates from row lists for ``inputs`` (by default the
+        first ``len(row_lists)`` inputs), in row-major blocks, without the
+        rows that make ``D_c`` infinite: rows with mass outside the support
+        of ``W(.|x)`` for an input with positive probability. Every scan
+        already rejects those candidates, and the survivors keep their
+        order, so each scan picks the same candidate as on the full lists."""
+        if inputs is None:
+            inputs = range(len(row_lists))
         return _joint_chunks([
-            rows if p <= SUPPORT_ATOL else _in_support(rows, support)
-            for rows, p, support in zip(row_lists, self.p_in.probs,
-                                        self.w.support_mask)])
+            rows if self.p_in.probs[x] <= SUPPORT_ATOL
+            else _in_support(rows, self.w.support_mask[x])
+            for rows, x in zip(row_lists, inputs)])
+
+    def _fiber_rows(self, row_lists: Sequence[np.ndarray]
+                    ) -> Iterator[np.ndarray]:
+        """Free fiber rows from row lists for every input but the one whose
+        row the output marginal determines (see ``_fiber``)."""
+        return self._joint(row_lists, _fiber_order(self.p_in.probs)[:-1])
 
     def _base(self):
         """Measure bundles of the base grid, cached per channel, input and
@@ -500,7 +521,7 @@ class Problem:
         ny, g = self.w.num_outputs, self.cfg.grid_points_per_dim
 
         def evaluate(row_lists, best):
-            return self._fiber_min(q_out, self._joint(row_lists), best)
+            return self._fiber_min(q_out, self._fiber_rows(row_lists), best)
 
         best = evaluate([_row_grid(ny, g)] * (self.w.num_inputs - 1), None)
         if best is None:
@@ -574,7 +595,8 @@ class _CeilingGate:
         w = problem.w
         lists = [_row_grid(w.num_outputs, problem.cfg.grid_points_per_dim)
                  ] * (w.num_inputs - 1)
-        self.first_rows = np.concatenate(list(problem._joint(lists)), axis=0)
+        self.first_rows = np.concatenate(list(problem._fiber_rows(lists)),
+                                         axis=0)
 
     def values(self, q_y_block: np.ndarray) -> np.ndarray:
         uniq, inverse = np.unique(np.round(q_y_block, _DELTA_QUANT), axis=0,

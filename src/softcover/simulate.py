@@ -7,18 +7,25 @@ user seed; trial ``t`` of a Monte Carlo run draws from
 ``PCG64(SeedSequence((seed, t)))``, so trials are independent streams and
 results do not depend on scheduling or worker count.
 
-Exact sums for a fixed codebook enumerate the whole output space, which is
+Exact sums for a fixed codebook run over the whole output space, which is
 capped at ``EXHAUSTIVE_BUDGET`` sequences; per-trial error probabilities are
-exact and only the codebook average is sampled. At rate 0 the statistic
-depends on the output only through its joint type with the codeword, so the
-exact rate-0 sums run over joint type classes instead (method of types),
-capped at ``TYPE_CLASS_BUDGET`` classes; for a binary channel with uniform
-input that reaches n = 2894.
+exact and only the codebook average is sampled. Each codeword adds its
+likelihood only to the outputs it can reach, so the work per codeword scales
+with those: 2^k outputs for a Z-channel codeword with k ones. The tables that
+do not depend on the codebook are kept across trials in a thread-safe memo
+of at most 64 MiB.
+
+At rate 0 the statistic depends on the output only through its joint type
+with the codeword, so the exact rate-0 sums run over joint type classes
+instead (method of types), capped at ``TYPE_CLASS_BUDGET`` classes; for a
+binary channel with uniform input that reaches n = 2894.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +45,7 @@ EXHAUSTIVE_BUDGET = 20_000_000
 TYPE_CLASS_BUDGET = 1 << 21
 _ENUM_CHUNK = 1 << 16
 _GATHER_ELEMENTS = 1 << 20
+_TABLE_ROWS = 1 << 13
 
 
 class CompositionError(ValueError):
@@ -101,10 +109,17 @@ class Codebook:
             raise ValueError("codewords must be an (M, n) integer matrix")
         if mat.shape[0] < 1:
             raise ValueError("a codebook holds at least one codeword")
-        for m in range(mat.shape[0]):
-            got = np.bincount(mat[m], minlength=comp.size)
-            if got.size > comp.size or not np.array_equal(got, comp):
-                raise ValueError(f"codeword {m} is not in the type class")
+        # one count per (codeword, symbol); a symbol outside the alphabet
+        # fails its row on its own
+        outside = (mat < 0) | (mat >= comp.size)
+        rows = np.arange(mat.shape[0])[:, None] * comp.size
+        counts = np.bincount((rows + np.where(outside, 0, mat)).ravel(),
+                             minlength=mat.shape[0] * comp.size)
+        wrong = outside.any(axis=1) | (counts.reshape(-1, comp.size)
+                                       != comp).any(axis=1)
+        if wrong.any():
+            raise ValueError(f"codeword {int(np.argmax(wrong))} is not in "
+                             f"the type class")
         mat.setflags(write=False)
         comp.setflags(write=False)
         object.__setattr__(self, "codewords", mat)
@@ -254,12 +269,165 @@ def s_threshold(tau: float, rate: float, y, p_out: Distribution) -> float:
 # exact error probabilities by exhaustive output enumeration
 # ---------------------------------------------------------------------------
 
-def _output_blocks(ny: int, n: int):
-    total = ny ** n
-    powers = ny ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, _ENUM_CHUNK):
-        idx = np.arange(start, min(start + _ENUM_CHUNK, total), dtype=np.int64)
-        yield (idx[:, None] // powers) % ny
+def _nbytes(value: tuple) -> int:
+    return sum(a.nbytes for a in value)
+
+
+class _Memo:
+    """Thread-safe least-recently-used map from keys to tuples of arrays (or
+    of other objects with ``nbytes``), bounded by their total ``nbytes``.
+
+    A value larger than the bound, or built with ``keep=False``, is returned
+    without being stored. Lookup and insertion hold a lock, the build does
+    not, so two threads may build the same value; the first one stored is
+    kept and returned to both."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.bytes = 0
+        self._items: OrderedDict[tuple, tuple] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: tuple, build, keep: bool = True) -> tuple:
+        if not keep:
+            return build()
+        with self._lock:
+            if key in self._items:
+                self._items.move_to_end(key)
+                return self._items[key]
+        value = build()
+        size = _nbytes(value)
+        with self._lock:
+            if key in self._items:
+                self._items.move_to_end(key)
+                return self._items[key]
+            if size <= self.max_bytes:
+                self._items[key] = value
+                self.bytes += size
+                while self.bytes > self.max_bytes:
+                    self.bytes -= _nbytes(self._items.popitem(last=False)[1])
+        return value
+
+
+# tables shared by every trial on the same channel, input composition and
+# output law: the reachable outputs of the base word (``_Reach``) and the
+# null probabilities of each output block; at most 64 MiB
+_TABLES = _Memo(1 << 26)
+
+
+def _null_block(n: int, log_p: np.ndarray, start: int, stop: int) -> tuple:
+    """Log and plain null probabilities of outputs ``start`` to ``stop - 1``
+    (in base ``ny``, the first position most significant)."""
+    ny = log_p.size
+    # the budget keeps every output index below 2**31
+    powers = ny ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    digits = (np.arange(start, stop, dtype=np.int32)[:, None] // powers) % ny
+    lp_null = log_p[digits].sum(axis=1)
+    return lp_null, np.exp(lp_null)
+
+
+class _Reach:
+    """The outputs a codeword of one composition can produce: at position
+    ``i`` exactly the outputs ``b`` with ``W(b | x_i) > 0``.
+
+    Input symbols with the same support form a class, and positions whose
+    symbols share a class are interchangeable. The base word lists the
+    classes in order, each repeated by its count in the composition. Its
+    reachable outputs, in lexicographic order, are the rows of the base
+    table: row ``r`` is ``r`` written in the mixed radix of the support
+    sizes. A codeword whose positions, stably sorted by class, are
+    ``order`` reads base column ``j`` at position ``order[j]``. With a
+    single class that is the identity for every codeword, and the rows are
+    in output order.
+
+    The table is cut into chunks of at most ``_TABLE_ROWS / nx`` rows that
+    share their first ``cut`` digits: a chunk is its prefix in front of the
+    digits of the last ``n - cut`` columns, which all chunks share, so no
+    chunk needs a division per digit. Chunks are kept in ``_TABLES`` when
+    the whole table fits in half of it."""
+
+    def __init__(self, w: Channel, composition: np.ndarray, key: tuple):
+        used = np.flatnonzero(composition)
+        supports, which = np.unique(w.rows[used] > 0, axis=0,
+                                    return_inverse=True)
+        self.classes = np.zeros(w.num_inputs, dtype=np.int64)
+        self.classes[used] = which.reshape(-1)
+        self.base = np.repeat(
+            np.arange(len(supports)),
+            np.bincount(self.classes[used], weights=composition[used]
+                        ).astype(np.int64))
+        self.shared = len(supports) == 1
+        # symbols[c, d] is the d-th output in the support of class c
+        self.symbols = np.argsort(~supports, axis=1, kind="stable")
+        self.radix = supports.sum(axis=1)[self.base]
+        # rows from column j on: tail[j] = prod(radix[j:]), tail[n] = 1
+        tail = np.append(np.cumprod(self.radix[::-1])[::-1], 1)
+        self.place = tail[1:]
+        self.rows = int(tail[0])
+        self.cut = int(np.argmax(tail <= max(1, _TABLE_ROWS // w.num_inputs)))
+        self.chunk = int(tail[self.cut])
+        self.suffix = self._digits(np.arange(self.chunk)[:, None],
+                                   slice(self.cut, None))
+        self.ny = w.num_outputs
+        self.key = key
+        with np.errstate(divide="ignore"):
+            self.log_w = np.log(w.rows)
+        self.keep = (self.rows * self.base.size * (w.num_inputs + 2) * 8
+                     <= _TABLES.max_bytes // 2)
+        self.nbytes = sum(a.nbytes for a in vars(self).values()
+                          if isinstance(a, np.ndarray))
+
+    @classmethod
+    def of(cls, w: Channel, composition: np.ndarray) -> _Reach:
+        key = (w.rows.tobytes(), w.rows.shape, composition.tobytes())
+        return _TABLES.get(("reach",) + key,
+                           lambda: (cls(w, composition, key),))[0]
+
+    def _digits(self, r: np.ndarray, cols: slice) -> np.ndarray:
+        """Output digits of the table rows ``r`` in the base columns
+        ``cols``."""
+        return self.symbols[self.base[cols],
+                            (r // self.place[cols]) % self.radix[cols]]
+
+    def table(self, c: int) -> tuple:
+        """Chunk ``c``: per row and base column ``j``, ``log W(y_j | a)`` for
+        every input ``a`` (at ``j * nx + a``); the output digits; and the
+        index of the row's output when column ``j`` is position ``j``."""
+        def build():
+            prefix = self._digits(np.array([[c * self.chunk]]),
+                                  slice(0, self.cut))
+            digits = np.concatenate(
+                [np.broadcast_to(prefix, (self.chunk, self.cut)),
+                 self.suffix], axis=1)
+            n = digits.shape[1]
+            index = np.einsum("rj,j->r", digits, self.ny ** np.arange(
+                n - 1, -1, -1, dtype=np.int64))
+            return (np.take(self.log_w.T, digits, axis=0
+                            ).reshape(self.chunk, -1), digits, index)
+        return _TABLES.get(("rows",) + self.key + (c,), build, self.keep)
+
+    def rank(self, t: int) -> int:
+        """Number of table rows whose output precedes output ``t``; for a
+        single class, whose rows are in output order."""
+        n, ny = self.base.size, self.ny
+        if t >= ny ** n:
+            return self.rows
+        digits = (t // ny ** np.arange(n - 1, -1, -1, dtype=np.int64)) % ny
+        k = int(self.radix[0])
+        sym = self.symbols[0, :k]
+        less = np.searchsorted(sym, digits)
+        hit = sym[np.minimum(less, k - 1)] == digits
+        alive = np.concatenate([[True], np.logical_and.accumulate(hit)[:-1]])
+        return int((alive * less * self.place).sum())
+
+    def columns(self, codewords: np.ndarray) -> tuple:
+        """Per codeword, the column of a chunk's log table each position
+        reads (``j * nx + x_i``), and the output-index weight ``ny ** (n - 1
+        - order[j])`` of each base column."""
+        order = np.argsort(self.classes[codewords], axis=1, kind="stable")
+        inv = np.argsort(order, axis=1)
+        codes = inv * self.log_w.shape[0] + codewords
+        return codes, self.ny ** (codewords.shape[1] - 1 - order)
 
 
 def _check_budget(ny: int, n: int):
@@ -276,37 +444,74 @@ def exact_error_probs(cb: Codebook, w: Channel, p_out: Distribution,
     """Exact false-alarm and missed-detection probabilities of the threshold
     test for one fixed codebook, by summing over every output sequence.
 
-    Codewords are gathered in groups of at most ``_GATHER_ELEMENTS`` channel
-    log-probabilities per output block, and their likelihoods are added to
-    the mixture one codeword after another, so the result does not depend on
-    the grouping."""
+    Each codeword adds its likelihood only to the outputs it can reach (see
+    ``_Reach``); to any other output it would add exactly ``+0.0``. A
+    likelihood is the sum of the ``n`` log transition probabilities in
+    position order, and each output's mixture adds the codewords in index
+    order from ``+0.0``, so the result does not depend on how the work is
+    split. The sums of each 65,536-output block are then formed as in a
+    plain sweep of the output space.
+
+    The output space is swept in passes of whole blocks, at most
+    ``_GATHER_ELEMENTS`` outputs (but one block) each. Codewords are
+    gathered in groups of at most ``_GATHER_ELEMENTS`` log-probabilities
+    per chunk of reachable outputs (but one codeword). Tables that do not
+    depend on the codebook are kept across calls in ``_TABLES``, a memo of
+    at most 64 MiB."""
     _check_budget(w.num_outputs, cb.n)
-    n = cb.n
+    n, m, ny = cb.n, cb.size, w.num_outputs
+    total = ny ** n
+    reach = _Reach.of(w, cb.composition)
+    codes, weights = reach.columns(cb.codewords)
     with np.errstate(divide="ignore"):
-        log_w = np.log(w.rows)
         log_p = np.log(p_out.probs)
-    m, ny = cb.size, w.num_outputs
-    # row i * ny + b of a codeword's table is log W(b | x_i)
-    tables = log_w[cb.codewords].reshape(m, n * ny)
+    span = max(_ENUM_CHUNK, _GATHER_ELEMENTS // _ENUM_CHUNK * _ENUM_CHUNK)
+    # Where every codeword maps a table row to the same output (a single
+    # class), a pass visits only its own chunks, each one shared by all
+    # groups. Otherwise each group finishes its rows before the next group
+    # starts, so a table of several chunks needs groups of one codeword, and
+    # rows outside the pass are dropped.
+    chunks = reach.rows // reach.chunk
+    groups = range(0, m, max(1, _GATHER_ELEMENTS // (reach.chunk * n)))
+    if not reach.shared and chunks > 1:
+        groups = range(m)
     alpha_parts: list[float] = []
     beta_parts: list[float] = []
-    for block in _output_blocks(ny, n):
-        lp_null = log_p[block].sum(axis=1)
-        cells = np.arange(n) * ny + block
-        group = max(1, _GATHER_ELEMENTS // block.size)
-        s_mix = np.zeros(block.shape[0])
-        for g in range(0, m, group):
-            lw = np.take(tables[g:g + group], cells, axis=1).sum(axis=2)
-            # accumulate, not reduce: a reduction may pair up the terms,
-            # while accumulate adds the rows strictly in codeword order
-            s_mix = np.add.accumulate(np.vstack([s_mix, np.exp(lw)]),
-                                      axis=0)[-1]
-        mix = s_mix / m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = (np.log(mix) - lp_null) / n
-        accept = lam >= tau  # NaN (both laws zero) compares False
-        alpha_parts.append(float(np.exp(lp_null)[accept].sum()))
-        beta_parts.append(float(mix[~accept].sum()))
+    for start in range(0, total, span):
+        stop = min(start + span, total)
+        s_mix = np.zeros(stop - start)
+        if reach.shared:
+            first = reach.rank(start) // reach.chunk
+            last = (reach.rank(stop) + reach.chunk - 1) // reach.chunk
+            work = ((c, g) for c in range(first, last) for g in groups)
+        else:
+            work = ((c, g) for g in groups for c in range(chunks))
+        for c, g in work:
+            logs, digits, index = reach.table(c)
+            lik = np.exp(np.take(logs, codes[g:g + groups.step], axis=1
+                                 ).sum(axis=2)).T
+            if not reach.shared:
+                index = np.einsum("rj,gj->gr", digits,
+                                  weights[g:g + groups.step])
+            out = np.broadcast_to(index - start, lik.shape)
+            if stop - start < total:
+                keep = (out >= 0) & (out < stop - start)
+                out, lik = out[keep], lik[keep]
+            # unbuffered and in index order, which is codeword-major: each
+            # output adds its codewords in index order
+            np.add.at(s_mix, out.ravel(), lik.ravel())
+        for a in range(start, stop, _ENUM_CHUNK):
+            b = min(a + _ENUM_CHUNK, stop)
+            lp_null, p_null = _TABLES.get(
+                ("null", n, log_p.tobytes(), a, b),
+                lambda: _null_block(n, log_p, a, b),
+                keep=total * 16 <= _TABLES.max_bytes // 2)
+            mix = s_mix[a - start:b - start] / m
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam = (np.log(mix) - lp_null) / n
+            accept = lam >= tau  # NaN (both laws zero) compares False
+            alpha_parts.append(float(p_null[accept].sum()))
+            beta_parts.append(float(mix[~accept].sum()))
     return math.fsum(alpha_parts), math.fsum(beta_parts)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from softcover import (
+    Channel,
     Distribution,
     JointType,
     SolverConfig,
@@ -260,6 +261,24 @@ def test_interference_level_examples(zchannel, uniform2):
     assert val == pytest.approx(-0.00755256, abs=1e-6)
     with pytest.raises(ValueError):
         interference_level(q, zchannel, uniform2, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_interference_level_with_a_massless_last_input(zchannel, bsc,
+                                                       uniform2):
+    # the fiber derives the row of the last input with positive mass; on
+    # the row of a massless last input it divided by zero and found no type
+    # at all, while here the only compatible type meets both constraints at
+    # level 0
+    point = Distribution([1.0, 0.0])
+    assert interference_level(point, zchannel, point, 0.1) == 0.0
+    # a massless third input leaves the ceiling of the other two, up to the
+    # solver grid, which depends on the number of inputs
+    w3 = Channel(np.vstack([bsc.rows, [[0.5, 0.5]]]))
+    q = Distribution([0.3, 0.7])
+    got = interference_level(q, w3, Distribution([0.5, 0.5, 0.0]), 0.1)
+    assert got == pytest.approx(interference_level(q, bsc, uniform2, 0.1),
+                                abs=1e-5)
 
 
 def test_interference_level_bsc_fiber_oracle(bsc, uniform2):

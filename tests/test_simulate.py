@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +82,14 @@ def test_sample_codebook_deterministic(uniform2):
 def test_codebook_rejects_wrong_composition():
     with pytest.raises(ValueError, match="type class"):
         Codebook([[0, 0, 0, 1]], 4, 0.0, [2, 2])
+
+
+@pytest.mark.parametrize("bad", [[0, 0, 0, 1], [0, 1, 2, 1], [0, 1, -1, 1]])
+def test_codebook_names_the_first_codeword_outside_the_type_class(bad):
+    good = [1, 0, 1, 0]
+    with pytest.raises(ValueError,
+                       match="^codeword 2 is not in the type class$"):
+        Codebook([good, good, bad, [1, 1, 1, 1]], 4, 0.0, [2, 2])
 
 
 # ----------------------------------------------------------------- mixture
@@ -249,6 +258,56 @@ def test_per_trial_pairs_are_frozen(zchannel, uniform2):
     assert got == Z_N12_TRIALS
 
 
+# frozen, as float.hex pairs, from the enumerator that summed every
+# (codeword, output) pair: per_trial_error_probs(n, rate, w, p_in, tau,
+# trials, seed) for each case
+FROZEN_TRIALS = {
+    # four 65,536-output blocks
+    "z-n18": ((18, 0.15, [[1.0, 0.0], [0.45, 0.55]], [0.5, 0.5], 0.05, 2, 11),
+              [("0x1.3be63a843d542p-4", "0x1.33c57478497e4p-2"),
+               ("0x1.4c8a6557bf680p-4", "0x1.192a1fa766ec1p-2")]),
+    # 3^12 = 531,441 outputs: block edges are not digit-aligned, and the two
+    # inputs have different supports of more than one output each
+    "2x3-n12": ((12, 0.15, [[0.5, 0.3, 0.2], [0.0, 0.65, 0.35]], [0.5, 0.5],
+                 0.02, 2, 12),
+                [("0x1.001a935c1ba61p-2", "0x1.7516267b84307p-3"),
+                 ("0x1.f8825bcfb52e2p-3", "0x1.756cd9d39e32cp-3")]),
+    # input 1 is never used, and its support differs from the others'
+    "unused-input": ((12, 0.2, [[1.0, 0.0], [0.0, 1.0], [0.4, 0.6]],
+                      [0.5, 0.0, 0.5], 0.03, 3, 13),
+                     [("0x1.41532f0b7b8d6p-3", "0x1.1728d6dfea68cp-2"),
+                      ("0x1.4101941b0596ap-3", "0x1.1872486a0fa30p-2"),
+                      ("0x1.2e82412a4bf36p-3", "0x1.1d980e92a48bep-2")]),
+    "bsc-n12": ((12, 0.2, [[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], 0.04, 3, 14),
+                [("0x1.ea00000000003p-5", "0x1.097cd4ed1c8dap-2"),
+                 ("0x1.ec00000000003p-5", "0x1.0b94162d397b0p-2"),
+                 ("0x1.0000000000002p-4", "0x1.fd59cb0f317a6p-3")]),
+}
+
+
+def _frozen_case(case):
+    (n, rate, rows, p_in, tau, trials, seed), want = FROZEN_TRIALS[case]
+    got = simulate.per_trial_error_probs(n, rate, Channel(rows),
+                                         Distribution(p_in), tau, trials,
+                                         seed)
+    return [(a.hex(), b.hex()) for a, b in got], want
+
+
+@pytest.mark.parametrize("case", sorted(FROZEN_TRIALS))
+def test_per_trial_pairs_are_frozen_on_more_channels(case):
+    got, want = _frozen_case(case)
+    assert got == want
+
+
+@pytest.mark.parametrize("case", ["z-n18", "2x3-n12"])
+def test_frozen_pairs_do_not_depend_on_the_gather_budget(case, monkeypatch):
+    # a small budget splits the output space into one pass per block and
+    # every codeword group into a single codeword
+    monkeypatch.setattr(simulate, "_GATHER_ELEMENTS", 1 << 12)
+    got, want = _frozen_case(case)
+    assert got == want
+
+
 @pytest.mark.parametrize("n,rate,which", [
     (8, 0.3, "z"), (6, 0.5, "bsc"), (6, 0.4, "2x3"),
     (8, 0.8, "z"),  # 601 codewords: more than one gather group
@@ -267,16 +326,50 @@ def test_exact_sums_match_mixture_enumeration(n, rate, which, zchannel, bsc,
         assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
 
 
-def test_exact_sums_do_not_depend_on_codeword_grouping(bsc, uniform2,
-                                                       monkeypatch):
-    # a full-support channel: every codeword adds to every output's mixture,
-    # so a change in the order of addition shows in the last bits
-    p_out = output_marginal(uniform2, bsc)
+def test_exact_sums_do_not_depend_on_codeword_grouping(bsc, zchannel,
+                                                       uniform2, monkeypatch):
+    # on the BSC every codeword adds to every output's mixture, on the
+    # Z-channel each adds only to the outputs it can reach; a change in the
+    # order of addition shows in the last bits
     cb = sample_codebook(8, 0.8, uniform2, seed=9)
     taus = (-0.2, -0.05, 0.0123, 0.05, 0.2)
-    grouped = [exact_error_probs(cb, bsc, p_out, tau) for tau in taus]
-    monkeypatch.setattr(simulate, "_GATHER_ELEMENTS", 1)  # one per group
-    assert [exact_error_probs(cb, bsc, p_out, tau) for tau in taus] == grouped
+    for w in (bsc, zchannel):
+        p_out = output_marginal(uniform2, w)
+        grouped = [exact_error_probs(cb, w, p_out, tau) for tau in taus]
+        for tau, got in zip(taus, grouped):
+            want = exact_probs_mixture(cb.codewords.tolist(), w.rows.tolist(),
+                                       p_out.probs.tolist(), tau)
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+            assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_GATHER_ELEMENTS", 1)  # one per group
+            assert [exact_error_probs(cb, w, p_out, tau)
+                    for tau in taus] == grouped
+
+
+def test_table_memo_is_thread_safe_and_byte_bounded(zchannel, bsc, uniform2,
+                                                    monkeypatch):
+    # six workers share a 100 kB memo, too small for the tables of these
+    # runs together, so entries are evicted while other threads read and
+    # insert
+    runs = [(w, n) for w in (zchannel, bsc) for n in (10, 12)] * 2
+    monkeypatch.setenv("SOFTCOVER_THREADS", "1")
+    want = [simulate.per_trial_error_probs(n, 0.2, w, uniform2, 0.05, 12,
+                                           seed=n) for w, n in runs]
+    memo = simulate._Memo(100_000)
+    monkeypatch.setattr(simulate, "_TABLES", memo)
+    monkeypatch.setenv("SOFTCOVER_THREADS", "6")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = [simulate.per_trial_error_probs(n, 0.2, w, uniform2, 0.05, 12,
+                                              seed=n) for w, n in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    with memo._lock:
+        stored = sum(simulate._nbytes(v) for v in memo._items.values())
+    assert 0 < memo.bytes == stored <= memo.max_bytes
 
 
 # ------------------------------------------ rate-0 joint-type-class engine

@@ -5,6 +5,7 @@
     grid gives.
 (b) The base-bundle cache returns bit-identical results under concurrent
     first solves and stays within its byte bound.
+(c) The gate derives the fiber row of the last input with positive mass.
 """
 
 import concurrent.futures
@@ -13,7 +14,13 @@ import sys
 import numpy as np
 import pytest
 
-from softcover import Distribution, SolverConfig, fa_exponent, md_exponent
+from softcover import (
+    Channel,
+    Distribution,
+    SolverConfig,
+    fa_exponent,
+    md_exponent,
+)
 from softcover import exponents
 from softcover.exponents import Problem, _CeilingGate, _row_grid
 from softcover.measures import kl_vec
@@ -57,6 +64,20 @@ def test_batched_gate_equals_single_fiber_scans(
     assert np.isfinite(got).sum() >= 5
     for g, w in zip(got, want):
         assert g == w or (np.isneginf(g) and np.isneginf(w))
+
+
+@pytest.mark.filterwarnings("error")
+def test_gate_derives_the_row_of_the_last_input_with_mass(bsc, uniform2):
+    # with the derived row on a massless last input every fiber point
+    # divided by zero and the gate read -inf; a massless input adds nothing
+    # to the marginal or to D_c, so the gate of the other two is expected
+    w3 = Channel(np.vstack([bsc.rows, [[0.5, 0.5]]]))
+    q_block = np.array([[0.3, 0.7], [0.5, 0.5], [0.6, 0.4], [0.45, 0.55]])
+    got = _CeilingGate(Problem(w3, Distribution([0.5, 0.5, 0.0]), 0.1,
+                               CFG17)).values(q_block)
+    want = _CeilingGate(Problem(bsc, uniform2, 0.1, CFG17)).values(q_block)
+    assert np.isfinite(want).all()
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 @pytest.fixture

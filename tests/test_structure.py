@@ -4,6 +4,8 @@
     modules such as ``._pool`` may be imported from, as long as the names
     are public.
 (b) The exponent solver has one masked argmin and one shrinking-box loop.
+(c) Every Monte Carlo trial calls the module attributes ``sample_codebook``
+    and ``exact_error_probs`` once.
 """
 
 import ast
@@ -48,3 +50,27 @@ def test_exponents_has_one_scan_and_one_polish_loop():
     assert len(argmins) <= 1, f"np.argmin at lines {[n.lineno for n in argmins]}"
     assert len(shrinks) <= 1, \
         f"refinement_shrink ** at lines {[n.lineno for n in shrinks]}"
+
+
+def test_monte_carlo_calls_the_module_hooks_once_per_trial(zchannel,
+                                                           uniform2,
+                                                           monkeypatch):
+    # a benchmark can trace each trial by swapping these two module
+    # attributes, so every trial must go through both of them
+    from softcover import simulate
+    calls = {"sample_codebook": 0, "exact_error_probs": 0}
+
+    def counted(name):
+        fn = getattr(simulate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simulate, name, counted(name))
+    trials = 5
+    simulate.per_trial_error_probs(8, 0.2, zchannel, uniform2, 0.05, trials,
+                                   seed=1)
+    assert calls == {"sample_codebook": trials, "exact_error_probs": trials}
