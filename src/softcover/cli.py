@@ -210,8 +210,6 @@ def _cfg_from_args(args, w: Channel) -> SolverConfig:
                            else args.refine),
         refinement_shrink=(base.refinement_shrink if args.shrink is None
                            else args.shrink),
-        constraint_slack=(base.constraint_slack if args.slack is None
-                          else args.slack),
     )
 
 
@@ -418,7 +416,7 @@ def zchannel_checkpoints(cfg: SolverConfig | None = None) -> dict[str, float]:
 def cmd_verify_zchannel(args) -> int:
     cfg = None
     if any(getattr(args, flag) is not None
-           for flag in ("grid", "refine", "shrink", "slack")):
+           for flag in ("grid", "refine", "shrink")):
         w, _ = parse_channel_spec(ZCHANNEL_SPEC).to_channel()
         cfg = _cfg_from_args(args, w)
     computed = zchannel_checkpoints(cfg)
@@ -448,8 +446,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="refinement rounds")
     p.add_argument("--shrink", type=float, default=None,
                    help="box shrink factor per refinement round")
-    p.add_argument("--slack", type=float, default=None,
-                   help="constraint slack in nats")
 
 
 def build_parser() -> argparse.ArgumentParser:

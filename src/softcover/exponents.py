@@ -13,7 +13,10 @@ separately, and polishes the incumbent with successively shrunken boxes.
 ``Problem`` holds one (channel, input, rate, configuration) and solves both
 exponents, the level extrema and the interference level with one masked
 argmin (``_scan``) and one shrinking-box loop (``_polish``); the public
-functions build one per call.
+functions build one per call. The base-grid measure arrays do not depend on
+the rate or the threshold; they are kept per channel, input and grid in
+``_BUNDLES``, a ``_memo.Memo`` (the package's one locked, byte-bounded LRU)
+of at most 256 MiB.
 Joint types that violate the channel support carry an infinite conditional
 divergence and a level of ``-inf``, so they are never feasible; that is what
 produces the strictly positive false-alarm floor on singular channels such as
@@ -28,14 +31,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._memo import Memo
 from .measures import (
     SUPPORT_ATOL,
     Channel,
@@ -64,15 +66,12 @@ class SolverConfig:
 
     ``grid_points_per_dim`` is the number of samples per free conditional
     coordinate, ``refinement_rounds`` local polish passes shrink the search
-    box by ``refinement_shrink`` around the incumbent each round, and
-    ``constraint_slack`` loosens the threshold constraints by a fixed amount
-    of nats (zero by default).
+    box by ``refinement_shrink`` around the incumbent each round.
     """
 
     grid_points_per_dim: int = 401
     refinement_rounds: int = 4
     refinement_shrink: float = 0.1
-    constraint_slack: float = 0.0
 
     def __post_init__(self):
         if self.grid_points_per_dim < 17:
@@ -81,8 +80,6 @@ class SolverConfig:
             raise ValueError("refinement_rounds must be >= 0")
         if not (0.0 < self.refinement_shrink < 1.0):
             raise ValueError("refinement_shrink must lie in (0, 1)")
-        if self.constraint_slack < 0.0:
-            raise ValueError("constraint_slack must be >= 0")
 
 
 def default_config(w: Channel) -> SolverConfig:
@@ -206,9 +203,7 @@ class _Incumbent:
 
 
 _CACHE_CANDIDATE_LIMIT = 2_000_000
-_BUNDLE_CACHE_BYTES = 1 << 28  # 256 MiB of cached base-grid measure arrays
-_BUNDLE_CACHE: OrderedDict[tuple, tuple[list[_Bundle], int]] = OrderedDict()
-_BUNDLE_LOCK = threading.Lock()
+_BUNDLES = Memo(1 << 28)  # 256 MiB of cached base-grid measure arrays
 
 
 def _refine_points(ny: int, g: int) -> int:
@@ -217,33 +212,6 @@ def _refine_points(ny: int, g: int) -> int:
     several free coordinates get fewer points per coordinate."""
     per_row = {2: 51, 3: 13}.get(ny, 9)
     return min(g, per_row)
-
-
-def _cached_bundles(key: tuple, build) -> list[_Bundle]:
-    """The bundles cached under ``key``, built by ``build()`` on a miss.
-
-    The cache is a least-recently-used map bounded by the total ``nbytes``
-    of its bundles (``_BUNDLE_CACHE_BYTES``); a list larger than the bound is
-    returned without being cached. Lookup and insertion hold a lock, the
-    build does not, so two threads may build the same list; the first one
-    inserted is kept and returned to both.
-    """
-    with _BUNDLE_LOCK:
-        if key in _BUNDLE_CACHE:
-            _BUNDLE_CACHE.move_to_end(key)
-            return _BUNDLE_CACHE[key][0]
-    bundles = build()
-    size = sum(b.nbytes for b in bundles)
-    with _BUNDLE_LOCK:
-        if key in _BUNDLE_CACHE:
-            _BUNDLE_CACHE.move_to_end(key)
-            return _BUNDLE_CACHE[key][0]
-        if size <= _BUNDLE_CACHE_BYTES:
-            _BUNDLE_CACHE[key] = (bundles, size)
-            total = sum(n for _, n in _BUNDLE_CACHE.values())
-            while total > _BUNDLE_CACHE_BYTES:
-                total -= _BUNDLE_CACHE.popitem(last=False)[1][1]
-    return bundles
 
 
 def _masked(block, objective, feasible) -> np.ndarray:
@@ -368,38 +336,39 @@ class Problem:
         return _Bundle(cond, self.w.rows, self.p_in.probs,
                        self.p_out.probs).at_rate(self.rate)
 
-    def _joint(self, row_lists: Sequence[np.ndarray],
-               inputs: Optional[Sequence[int]] = None) -> Iterator[np.ndarray]:
-        """Joint candidates from row lists for ``inputs`` (by default the
-        first ``len(row_lists)`` inputs), in row-major blocks, without the
-        rows that make ``D_c`` infinite: rows with mass outside the support
-        of ``W(.|x)`` for an input with positive probability. Every scan
-        already rejects those candidates, and the survivors keep their
-        order, so each scan picks the same candidate as on the full lists."""
+    def _pruned(self, row_lists: Sequence[np.ndarray],
+                inputs: Optional[Sequence[int]] = None) -> list[np.ndarray]:
+        """Row lists for ``inputs`` (by default the first ``len(row_lists)``
+        inputs) without the rows that make ``D_c`` infinite: rows with mass
+        outside the support of ``W(.|x)`` for an input with positive
+        probability. Every scan already rejects those candidates, and the
+        survivors keep their order, so each scan picks the same candidate
+        as on the full lists."""
         if inputs is None:
             inputs = range(len(row_lists))
-        return _joint_chunks([
-            rows if self.p_in.probs[x] <= SUPPORT_ATOL
-            else _in_support(rows, self.w.support_mask[x])
-            for rows, x in zip(row_lists, inputs)])
+        return [rows if self.p_in.probs[x] <= SUPPORT_ATOL
+                else _in_support(rows, self.w.support_mask[x])
+                for rows, x in zip(row_lists, inputs)]
 
     def _fiber_rows(self, row_lists: Sequence[np.ndarray]
                     ) -> Iterator[np.ndarray]:
         """Free fiber rows from row lists for every input but the one whose
         row the output marginal determines (see ``_fiber``)."""
-        return self._joint(row_lists, _fiber_order(self.p_in.probs)[:-1])
+        return _joint_chunks(
+            self._pruned(row_lists, _fiber_order(self.p_in.probs)[:-1]))
 
     def _base(self):
-        """Measure bundles of the base grid, cached per channel, input and
-        grid when the grid is moderate, otherwise streamed."""
+        """Measure bundles of the base grid, kept in ``_BUNDLES`` per
+        channel, input and grid when at most ``_CACHE_CANDIDATE_LIMIT``
+        candidates survive pruning, otherwise streamed."""
         w, g = self.w, self.cfg.grid_points_per_dim
-        row_lists = [_row_grid(w.num_outputs, g)] * w.num_inputs
+        row_lists = self._pruned([_row_grid(w.num_outputs, g)] * w.num_inputs)
         bundles = (_Bundle(cond, w.rows, self.p_in.probs, self.p_out.probs)
-                   for cond in self._joint(row_lists))
+                   for cond in _joint_chunks(row_lists))
         if math.prod(len(r) for r in row_lists) > _CACHE_CANDIDATE_LIMIT:
             return bundles
         key = (w.rows.tobytes(), self.p_in.probs.tobytes(), g)
-        return _cached_bundles(key, lambda: list(bundles))
+        return _BUNDLES.get(key, lambda: tuple(bundles))
 
     def _solve(self, objective, feasible, seeds) -> Optional[_Incumbent]:
         """Scan the seeds, then the base grid, then polish the incumbent;
@@ -411,7 +380,8 @@ class Problem:
             return None
 
         def evaluate(row_lists, best):
-            return _scan(map(self._rated, self._joint(row_lists)),
+            return _scan(map(self._rated,
+                             _joint_chunks(self._pruned(row_lists))),
                          objective, feasible, best)
 
         points = _refine_points(self.w.num_outputs,
@@ -457,10 +427,8 @@ class Problem:
 
     def fa(self, tau: float) -> ExponentResult:
         """False-alarm exponent at threshold ``tau`` (see ``fa_exponent``)."""
-        slack = self.cfg.constraint_slack
-
         def base(b):
-            return np.isfinite(b.lam) & (b.lam >= tau - slack)
+            return np.isfinite(b.lam) & (b.lam >= tau)
 
         return self._result(*(
             self._solve(self._fa_cost,
@@ -472,20 +440,19 @@ class Problem:
         """Missed-detection exponent at threshold ``tau`` (see
         ``md_exponent``); the interference ceiling binds when the rate is
         positive and ``tau <= 0``."""
-        slack = self.cfg.constraint_slack
         bottoms = [self.level_extremum(True, branch)
                    for branch in (BULK, SPARSE)]
         lam_min = min((b.value for b in bottoms if b is not None),
                       default=math.inf)
-        if not lam_min < tau - slack:
+        if not lam_min < tau:
             return ExponentResult(math.inf, None, None, False)
         gate = self._gate if self.rate > 0 and tau <= 0 else None
 
         def base(b):
-            mask = np.isfinite(b.d_c) & (b.lam <= tau + slack)
+            mask = np.isfinite(b.d_c) & (b.lam <= tau)
             if gate is not None and mask.any():
                 idx = np.flatnonzero(mask)
-                mask[idx] = gate.values(b.q_y[idx]) <= tau + slack
+                mask[idx] = gate.values(b.q_y[idx]) <= tau
             return mask
 
         return self._result(*(

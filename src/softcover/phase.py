@@ -32,6 +32,7 @@ from .measures import (
 )
 
 _ZERO_TOL = 1e-9
+_TAU_MARGIN = 0.02  # nats the tradeoff sweep runs past each end of the window
 
 
 class RegionTag(enum.Enum):
@@ -237,8 +238,8 @@ def classify(tau: float, report: PhaseReport) -> tuple[RegionTag, RegionTag]:
 
 
 def tradeoff_curve(w: Channel, p_in: Distribution, rate: float,
-                   tau_samples: int, cfg: Optional[SolverConfig] = None,
-                   margin: float = 0.02) -> TradeoffCurve:
+                   tau_samples: int, cfg: Optional[SolverConfig] = None
+                   ) -> TradeoffCurve:
     """Sweep the threshold across the full active window and pair up the two
     exponents; the envelope collapses each run of constant false-alarm value
     to its highest missed-detection point and stops once the missed-detection
@@ -251,7 +252,8 @@ def tradeoff_curve(w: Channel, p_in: Distribution, rate: float,
     i_xy = mutual_information(JointType(p_in, w.rows))
     lam_min = problem.level_extremum(minimize=True).value
     tau_star = max(0.0, i_xy - rate)
-    taus = np.linspace(lam_min - margin, tau_star + margin, tau_samples)
+    taus = np.linspace(lam_min - _TAU_MARGIN, tau_star + _TAU_MARGIN,
+                       tau_samples)
     points = []
     for tau in taus:
         tau = float(tau)

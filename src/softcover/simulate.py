@@ -12,8 +12,9 @@ capped at ``EXHAUSTIVE_BUDGET`` sequences; per-trial error probabilities are
 exact and only the codebook average is sampled. Each codeword adds its
 likelihood only to the outputs it can reach, so the work per codeword scales
 with those: 2^k outputs for a Z-channel codeword with k ones. The tables that
-do not depend on the codebook are kept across trials in a thread-safe memo
-of at most 64 MiB.
+do not depend on the codebook are kept across trials in ``_TABLES``, a
+``_memo.Memo`` (the same locked, byte-bounded LRU as the solver's bundle
+cache) of at most 64 MiB.
 
 At rate 0 the statistic depends on the output only through its joint type
 with the codeword, so the exact rate-0 sums run over joint type classes
@@ -24,8 +25,6 @@ binary channel with uniform input that reaches n = 2894.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +38,7 @@ from .measures import (
     entropy_vec,
     kl_vec,
 )
+from ._memo import Memo
 from ._pool import map_indexed
 
 EXHAUSTIVE_BUDGET = 20_000_000
@@ -134,9 +134,6 @@ class Codebook:
     @property
     def realized_rate(self) -> float:
         return math.log(self.size) / self.n
-
-    def input_type(self) -> Distribution:
-        return Distribution(self.composition / self.n)
 
 
 def codebook_size(n: int, rate: float) -> int:
@@ -269,50 +266,10 @@ def s_threshold(tau: float, rate: float, y, p_out: Distribution) -> float:
 # exact error probabilities by exhaustive output enumeration
 # ---------------------------------------------------------------------------
 
-def _nbytes(value: tuple) -> int:
-    return sum(a.nbytes for a in value)
-
-
-class _Memo:
-    """Thread-safe least-recently-used map from keys to tuples of arrays (or
-    of other objects with ``nbytes``), bounded by their total ``nbytes``.
-
-    A value larger than the bound, or built with ``keep=False``, is returned
-    without being stored. Lookup and insertion hold a lock, the build does
-    not, so two threads may build the same value; the first one stored is
-    kept and returned to both."""
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.bytes = 0
-        self._items: OrderedDict[tuple, tuple] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple, build, keep: bool = True) -> tuple:
-        if not keep:
-            return build()
-        with self._lock:
-            if key in self._items:
-                self._items.move_to_end(key)
-                return self._items[key]
-        value = build()
-        size = _nbytes(value)
-        with self._lock:
-            if key in self._items:
-                self._items.move_to_end(key)
-                return self._items[key]
-            if size <= self.max_bytes:
-                self._items[key] = value
-                self.bytes += size
-                while self.bytes > self.max_bytes:
-                    self.bytes -= _nbytes(self._items.popitem(last=False)[1])
-        return value
-
-
 # tables shared by every trial on the same channel, input composition and
 # output law: the reachable outputs of the base word (``_Reach``) and the
 # null probabilities of each output block; at most 64 MiB
-_TABLES = _Memo(1 << 26)
+_TABLES = Memo(1 << 26)
 
 
 def _null_block(n: int, log_p: np.ndarray, start: int, stop: int) -> tuple:

@@ -40,8 +40,6 @@ def test_config_validation():
         SolverConfig(grid_points_per_dim=5)
     with pytest.raises(ValueError):
         SolverConfig(refinement_shrink=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(constraint_slack=-0.1)
 
 
 def test_default_config_scales_with_dimension(zchannel, random_2x3_channels):

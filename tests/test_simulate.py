@@ -22,6 +22,7 @@ from softcover import (
     tce,
 )
 from softcover import simulate
+from softcover._memo import Memo, _nbytes
 from softcover.simulate import (
     codebook_size,
     exact_error_probs,
@@ -356,7 +357,7 @@ def test_table_memo_is_thread_safe_and_byte_bounded(zchannel, bsc, uniform2,
     monkeypatch.setenv("SOFTCOVER_THREADS", "1")
     want = [simulate.per_trial_error_probs(n, 0.2, w, uniform2, 0.05, 12,
                                            seed=n) for w, n in runs]
-    memo = simulate._Memo(100_000)
+    memo = Memo(100_000)
     monkeypatch.setattr(simulate, "_TABLES", memo)
     monkeypatch.setenv("SOFTCOVER_THREADS", "6")
     interval = sys.getswitchinterval()
@@ -368,7 +369,7 @@ def test_table_memo_is_thread_safe_and_byte_bounded(zchannel, bsc, uniform2,
         sys.setswitchinterval(interval)
     assert got == want
     with memo._lock:
-        stored = sum(simulate._nbytes(v) for v in memo._items.values())
+        stored = sum(_nbytes(v) for v in memo._items.values())
     assert 0 < memo.bytes == stored <= memo.max_bytes
 
 

@@ -4,7 +4,8 @@
     the very float a single fiber scan over the full (unpruned) base fiber
     grid gives.
 (b) The base-bundle cache returns bit-identical results under concurrent
-    first solves and stays within its byte bound.
+    first solves, stays within its byte bound and is used whenever few
+    enough candidates survive pruning.
 (c) The gate derives the fiber row of the last input with positive mass.
 """
 
@@ -22,6 +23,7 @@ from softcover import (
     md_exponent,
 )
 from softcover import exponents
+from softcover._memo import Memo, _nbytes
 from softcover.exponents import Problem, _CeilingGate, _row_grid
 from softcover.measures import kl_vec
 
@@ -81,21 +83,20 @@ def test_gate_derives_the_row_of_the_last_input_with_mass(bsc, uniform2):
 
 
 @pytest.fixture
-def empty_bundle_cache():
-    with exponents._BUNDLE_LOCK:
-        exponents._BUNDLE_CACHE.clear()
-    yield
-    with exponents._BUNDLE_LOCK:
-        exponents._BUNDLE_CACHE.clear()
+def bundles(monkeypatch):
+    """A fresh, empty base-bundle memo in place of the package's."""
+    memo = Memo(exponents._BUNDLES.max_bytes)
+    monkeypatch.setattr(exponents, "_BUNDLES", memo)
+    return memo
 
 
-def _cached_bytes():
-    with exponents._BUNDLE_LOCK:
-        return sum(n for _, n in exponents._BUNDLE_CACHE.values())
+def _cached_sizes(memo):
+    with memo._lock:
+        return [_nbytes(v) for v in memo._items.values()]
 
 
 def test_bundle_cache_is_thread_safe_and_byte_bounded(
-        bsc, random_2x3_channels, uniform2, empty_bundle_cache, monkeypatch):
+        bsc, random_2x3_channels, uniform2, bundles, monkeypatch):
     tasks = [(bsc, 0.1, None), (random_2x3_channels[2], -0.03, CFG17)]
 
     def solve(task):
@@ -107,12 +108,11 @@ def test_bundle_cache_is_thread_safe_and_byte_bounded(
                 for r in (fa, md)]
 
     want = [solve(task) for task in tasks]
-    sizes = [n for _, n in exponents._BUNDLE_CACHE.values()]
+    sizes = _cached_sizes(bundles)
     assert len(sizes) == 2
     # room for the larger entry only, so the two channels evict each other
-    monkeypatch.setattr(exponents, "_BUNDLE_CACHE_BYTES", max(sizes))
-    with exponents._BUNDLE_LOCK:
-        exponents._BUNDLE_CACHE.clear()
+    memo = Memo(max(sizes))
+    monkeypatch.setattr(exponents, "_BUNDLES", memo)
     order = [0, 1, 0, 1, 1, 0, 1, 0]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -123,18 +123,18 @@ def test_bundle_cache_is_thread_safe_and_byte_bounded(
     finally:
         sys.setswitchinterval(interval)
     assert got == [want[i] for i in order]
-    assert 0 < _cached_bytes() <= max(sizes)
+    assert 0 < sum(_cached_sizes(memo)) == memo.bytes <= max(sizes)
 
 
 def test_bundle_cache_skips_a_list_above_the_bound(
-        zchannel, bsc, uniform2, empty_bundle_cache, monkeypatch):
+        zchannel, bsc, uniform2, bundles, monkeypatch):
     fa_exponent(zchannel, uniform2, 0.1, 0.1)
-    small = _cached_bytes()
+    small = sum(_cached_sizes(bundles))
     # the BSC grid is far larger than the pruned Z-channel grid
-    monkeypatch.setattr(exponents, "_BUNDLE_CACHE_BYTES", small)
+    monkeypatch.setattr(bundles, "max_bytes", small)
     want = fa_exponent(bsc, uniform2, 0.1, 0.1).value
     assert fa_exponent(bsc, uniform2, 0.1, 0.1).value == want
-    assert _cached_bytes() == small
+    assert sum(_cached_sizes(bundles)) == small
 
 
 def test_bundle_cache_is_shared_across_rates(zchannel):
@@ -142,3 +142,15 @@ def test_bundle_cache_is_shared_across_rates(zchannel):
     a = Problem(zchannel, Distribution([0.5, 0.5]), 0.1)
     b = Problem(zchannel, Distribution([0.5, 0.5]), 0.2)
     assert a._base() is b._base()
+
+
+def test_bundle_cache_counts_the_candidates_left_after_pruning(
+        zchannel, uniform2, bundles):
+    # 1,500^2 = 2.25 M grid candidates, above the cache limit, but the
+    # noiseless input keeps one row of 1,500, so 1,500 candidates survive
+    # and the grid is cached rather than rebuilt on every solve
+    cfg = SolverConfig(grid_points_per_dim=1500)
+    assert 1500 ** 2 > exponents._CACHE_CANDIDATE_LIMIT
+    a = Problem(zchannel, uniform2, 0.1, cfg)._base()
+    assert a is Problem(zchannel, uniform2, 0.2, cfg)._base()
+    assert sum(len(b.cond) for b in a) == 1500

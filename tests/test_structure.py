@@ -6,6 +6,8 @@
 (b) The exponent solver has one masked argmin and one shrinking-box loop.
 (c) Every Monte Carlo trial calls the module attributes ``sample_codebook``
     and ``exact_error_probs`` once.
+(d) Only ``_memo.py`` constructs a ``threading.Lock`` or an ``OrderedDict``:
+    every cache goes through its one LRU type.
 """
 
 import ast
@@ -74,3 +76,18 @@ def test_monte_carlo_calls_the_module_hooks_once_per_trial(zchannel,
     simulate.per_trial_error_probs(8, 0.2, zchannel, uniform2, 0.05, trials,
                                    seed=1)
     assert calls == {"sample_codebook": trials, "exact_error_probs": trials}
+
+
+def test_only_the_memo_module_builds_locks_and_ordered_dicts():
+    offenders = []
+    for path in MODULES:
+        if path.name == "_memo.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            # threading.Lock() and Lock() alike
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("Lock", "RLock", "OrderedDict"):
+                offenders.append(f"{path.name}:{node.lineno} {name}()")
+    assert not offenders, f"locks or LRU maps outside _memo.py: {offenders}"
