@@ -1,14 +1,21 @@
 """Tiny deterministic worker pool.
 
-Results are always returned in input order, never completion order, so the
-worker count (capped by the ``SOFTCOVER_THREADS`` environment variable) has
-no effect on any output.
+Results are always returned in input order, never completion order, so
+where the items run has no effect on any output. Items whose estimated work
+is below ``_INLINE_WORK`` array elements run in the calling thread: such an
+item is mostly small numpy calls that hold the GIL, and a second thread only
+adds contention. Larger items run on a thread pool of ``worker_count()``
+threads, capped by the ``SOFTCOVER_THREADS`` environment variable.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+
+# the crossover of one thread and two on Monte Carlo trials, measured over
+# Z, BSC and 2x3 channels (CHANGES.md has the table)
+_INLINE_WORK = 1 << 16
 
 
 def worker_count() -> int:
@@ -21,10 +28,12 @@ def worker_count() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def map_indexed(fn, items) -> list:
+def map_indexed(fn, items, work: int) -> list:
+    """``[fn(item) for item in items]``, where ``work`` estimates the array
+    elements one item touches."""
     items = list(items)
-    workers = min(worker_count(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
+    workers = min(worker_count(), len(items))
+    if workers <= 1 or work < _INLINE_WORK:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -5,7 +5,11 @@ exact or Monte Carlo error probabilities of the threshold test.
 Randomness. Codebooks use numpy's PCG64 bit generator. A run is keyed by a
 user seed; trial ``t`` of a Monte Carlo run draws from
 ``PCG64(SeedSequence((seed, t)))``, so trials are independent streams and
-results do not depend on scheduling or worker count.
+results do not depend on scheduling or worker count. Trials that touch fewer
+than ``_pool._INLINE_WORK`` array elements each run in the calling thread,
+because their small numpy calls hold the GIL; larger ones run on the worker
+pool, capped by ``SOFTCOVER_THREADS``. The pairs are byte-identical either
+way.
 
 Exact sums for a fixed codebook run over the whole output space, which is
 capped at ``EXHAUSTIVE_BUDGET`` sequences; per-trial error probabilities are
@@ -109,14 +113,13 @@ class Codebook:
             raise ValueError("codewords must be an (M, n) integer matrix")
         if mat.shape[0] < 1:
             raise ValueError("a codebook holds at least one codeword")
-        # one count per (codeword, symbol); a symbol outside the alphabet
-        # fails its row on its own
-        outside = (mat < 0) | (mat >= comp.size)
-        rows = np.arange(mat.shape[0])[:, None] * comp.size
-        counts = np.bincount((rows + np.where(outside, 0, mat)).ravel(),
-                             minlength=mat.shape[0] * comp.size)
-        wrong = outside.any(axis=1) | (counts.reshape(-1, comp.size)
-                                       != comp).any(axis=1)
+        # a row is in the type class iff, sorted, it is the base word of
+        # the composition; a symbol outside the alphabet never is
+        base = np.repeat(np.arange(comp.size), np.maximum(comp, 0))
+        if base.size == n and (comp >= 0).all():
+            wrong = (np.sort(mat, axis=1) != base).any(axis=1)
+        else:
+            wrong = np.ones(mat.shape[0], dtype=bool)
         if wrong.any():
             raise ValueError(f"codeword {int(np.argmax(wrong))} is not in "
                              f"the type class")
@@ -464,8 +467,13 @@ def exact_error_probs(cb: Codebook, w: Channel, p_out: Distribution,
                 lambda: _null_block(n, log_p, a, b),
                 keep=total * 16 <= _TABLES.max_bytes // 2)
             mix = s_mix[a - start:b - start] / m
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = (np.log(mix) - lp_null) / n
+            # log(0) = -inf is written, not computed: numpy's log is several
+            # times slower on zeros, and most outputs of a sparse channel
+            # are unreached
+            log_mix = np.log(mix, out=np.full_like(mix, -np.inf),
+                             where=mix > 0)
+            with np.errstate(invalid="ignore"):
+                lam = (log_mix - lp_null) / n
             accept = lam >= tau  # NaN (both laws zero) compares False
             alpha_parts.append(float(p_null[accept].sum()))
             beta_parts.append(float(mix[~accept].sum()))
@@ -568,8 +576,6 @@ def estimate_error_probs(n: int, rate: float, w: Channel, p_in: Distribution,
                 SimEstimate(beta, 0.0, ensemble, seed))
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
-    if codebook_trials < 1:
-        raise ValueError("codebook_trials must be >= 1")
     results = per_trial_error_probs(n, rate, w, p_in, tau, codebook_trials,
                                     seed)
     return (estimate_from_values([r[0] for r in results], seed),
@@ -579,14 +585,27 @@ def estimate_error_probs(n: int, rate: float, w: Channel, p_in: Distribution,
 def per_trial_error_probs(n: int, rate: float, w: Channel,
                           p_in: Distribution, tau: float, trials: int,
                           seed: int) -> list[tuple[float, float]]:
-    """Exact per-codebook (alpha, beta) pairs for each Monte Carlo trial."""
+    """Exact per-codebook (alpha, beta) pairs for each Monte Carlo trial.
+
+    Trials too small to gain from a second thread run in the calling
+    thread, larger ones on the worker pool (see ``_pool``); the pairs are
+    the same either way."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    # the errors every trial would raise, before any table is built
+    counts = quantized_composition(n, p_in)
+    _check_budget(w.num_outputs, n)
+    # elements one trial touches: its gathered log-probabilities and the
+    # outputs whose sums it forms
+    work = (codebook_size(n, rate) * _Reach.of(w, counts).rows * n
+            + w.num_outputs ** n)
     p_out = Distribution(p_in.probs @ w.rows)
 
     def one_trial(t: int) -> tuple[float, float]:
         cb = sample_codebook(n, rate, p_in, (seed, t))
         return exact_error_probs(cb, w, p_out, tau)
 
-    return map_indexed(one_trial, range(trials))
+    return map_indexed(one_trial, range(trials), work)
 
 
 def estimate_from_values(values: list[float], seed: int) -> SimEstimate:

@@ -254,6 +254,18 @@ def test_simulate_rows_in_unit_interval(z_spec_file, tmp_path, capsys):
         assert 0.0 <= float(beta) <= 1.0
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_simulate_without_trials_is_an_input_error(z_spec_file, tmp_path,
+                                                   capsys, trials):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--spec", z_spec_file, "--n", "8", "--rate",
+                 "0.2", "--tau", "0.05", "--trials", trials,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: trials must be >= 1")
+    assert not out.exists()
+
+
 def test_simulate_deterministic_across_threads(z_spec_file, tmp_path, capsys,
                                                monkeypatch):
     args = ["simulate", "--spec", z_spec_file, "--n", "8", "--rate", "0.2",

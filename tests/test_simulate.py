@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from softcover import (
     sample_codebook,
     tce,
 )
-from softcover import simulate
+from softcover import _pool, simulate
 from softcover._memo import Memo, _nbytes
 from softcover.simulate import (
     codebook_size,
@@ -348,11 +350,26 @@ def test_exact_sums_do_not_depend_on_codeword_grouping(bsc, zchannel,
                     for tau in taus] == grouped
 
 
+def _recording_thread_ids(monkeypatch):
+    """Wrap ``simulate.exact_error_probs`` to record the threads it runs
+    on."""
+    seen = set()
+    exact = simulate.exact_error_probs
+
+    def recorded(*args, **kwargs):
+        seen.add(threading.get_ident())
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "exact_error_probs", recorded)
+    return seen
+
+
 def test_table_memo_is_thread_safe_and_byte_bounded(zchannel, bsc, uniform2,
                                                     monkeypatch):
-    # six workers share a 100 kB memo, too small for the tables of these
+    # six threads share a 100 kB memo, too small for the tables of these
     # runs together, so entries are evicted while other threads read and
-    # insert
+    # insert; most of these trials are small enough to run in the thread
+    # that asks for them, so the test starts the threads itself
     runs = [(w, n) for w in (zchannel, bsc) for n in (10, 12)] * 2
     monkeypatch.setenv("SOFTCOVER_THREADS", "1")
     want = [simulate.per_trial_error_probs(n, 0.2, w, uniform2, 0.05, 12,
@@ -360,14 +377,22 @@ def test_table_memo_is_thread_safe_and_byte_bounded(zchannel, bsc, uniform2,
     memo = Memo(100_000)
     monkeypatch.setattr(simulate, "_TABLES", memo)
     monkeypatch.setenv("SOFTCOVER_THREADS", "6")
+    seen = _recording_thread_ids(monkeypatch)
+
+    def run(case):
+        w, n = case
+        return simulate.per_trial_error_probs(n, 0.2, w, uniform2, 0.05, 12,
+                                              seed=n)
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        got = [simulate.per_trial_error_probs(n, 0.2, w, uniform2, 0.05, 12,
-                                              seed=n) for w, n in runs]
+        with ThreadPoolExecutor(6) as pool:
+            got = list(pool.map(run, runs))
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+    assert len(seen) > 1
     with memo._lock:
         stored = sum(_nbytes(v) for v in memo._items.values())
     assert 0 < memo.bytes == stored <= memo.max_bytes
@@ -506,6 +531,60 @@ def test_estimates_independent_of_worker_count(zchannel, uniform2,
     a2, b2 = estimate_error_probs(8, 0.2, zchannel, uniform2, 0.05,
                                   codebook_trials=8, seed=3)
     assert (a1, b1) == (a2, b2)
+
+
+def test_trials_above_the_crossover_run_on_the_pool(bsc, uniform2,
+                                                    monkeypatch):
+    # 2 codewords x 65,536 reachable outputs x 16 positions per trial
+    args = (16, 0.05, bsc, uniform2, 0.05, 4, 21)
+    monkeypatch.setenv("SOFTCOVER_THREADS", "1")
+    want = simulate.per_trial_error_probs(*args)
+    monkeypatch.setenv("SOFTCOVER_THREADS", "3")
+    seen = _recording_thread_ids(monkeypatch)
+    got = simulate.per_trial_error_probs(*args)
+    assert [(a.hex(), b.hex()) for a, b in got] == \
+        [(a.hex(), b.hex()) for a, b in want]
+    assert len(seen) > 1
+
+
+def test_trials_below_the_crossover_build_no_pool(zchannel, uniform2,
+                                                  monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(_pool, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setenv("SOFTCOVER_THREADS", "4")
+    got = simulate.per_trial_error_probs(12, 0.2, zchannel, uniform2, 0.05,
+                                         40, seed=3)
+    assert got[:4] == Z_N12_TRIALS
+
+
+@pytest.mark.parametrize("n,error,message", [
+    (26, BudgetError, "2^26 = 67108864 output sequences exceed the "
+                      "exhaustive budget of 20000000; reduce the blocklength "
+                      "or rely on the Monte Carlo codebook average at a "
+                      "smaller n"),
+    (11, CompositionError, "blocklength 11 distorts the mass of symbol 0 by "
+                           "0.0455 (more than half a slot); try n = 12"),
+])
+def test_monte_carlo_errors_come_before_any_table(n, error, message, bsc,
+                                                  uniform2, monkeypatch):
+    memo = Memo(1 << 20)
+    monkeypatch.setattr(simulate, "_TABLES", memo)
+    monkeypatch.setenv("SOFTCOVER_THREADS", "4")
+    with pytest.raises(error) as info:
+        simulate.per_trial_error_probs(n, 0.05, bsc, uniform2, 0.05, 4, 1)
+    assert str(info.value) == message
+    assert memo.bytes == 0 and not memo._items
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_monte_carlo_needs_a_trial(trials, zchannel, uniform2):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        simulate.per_trial_error_probs(8, 0.2, zchannel, uniform2, 0.05,
+                                       trials, 1)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimate_error_probs(8, 0.2, zchannel, uniform2, 0.05, trials, 1)
 
 
 def test_alpha_decay_exponent_monotone_in_threshold(zchannel, uniform2):
