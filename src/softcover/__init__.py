@@ -47,6 +47,7 @@ from .simulate import (
     SimEstimate,
     estimate_error_probs,
     exact_r0_error_probs,
+    exact_r0_log_error_probs,
     llr,
     llr_from_types,
     mixture_prob,

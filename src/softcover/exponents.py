@@ -7,9 +7,13 @@ types whose level falls below it, with an extra interference ceiling active
 at non-positive thresholds.
 
 The generic solver lays a dense grid over the free conditional coordinates
-(one simplex per input symbol), splits the non-smooth clipped rate term by
-solving the bulk branch (``I_Q <= R``) and the sparse branch (``I_Q >= R``)
-separately, and polishes the incumbent with successively shrunken boxes.
+(one simplex per input symbol), splits the non-smooth clipped rate term into
+the bulk branch (``I_Q <= R``) and the sparse branch (``I_Q >= R``), and
+polishes each branch's incumbent with successively shrunken boxes. The two
+branches are solved in lockstep: every block of candidates (the seeds of
+both, each base-grid block, each polish round's boxes around both
+incumbents) is measured, masked and gated once, and each branch then takes
+the argmin of its own part under its own ``I_Q`` test.
 ``Problem`` holds one (channel, input, rate, configuration) and solves both
 exponents, the level extrema and the interference level with one masked
 argmin (``_scan``) and one shrinking-box loop (``_polish``); the public
@@ -155,22 +159,22 @@ class _Bundle:
                             self.i_q, lam)
 
 
-def _row_grid(ny: int, g: int, lo=None, hi=None) -> np.ndarray:
-    """Candidate stochastic rows; coordinates 1..ny-1 are gridded over the
-    given per-coordinate box and coordinate 0 absorbs the remainder."""
-    lo = np.zeros(ny - 1) if lo is None else lo
-    hi = np.ones(ny - 1) if hi is None else hi
-    axes = [np.linspace(lo[i], hi[i], g) for i in range(ny - 1)]
-    if ny == 2:
-        free = axes[0][:, None]
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        free = np.stack([m.ravel() for m in mesh], axis=1)
-    head = 1.0 - free.sum(axis=1)
-    keep = head >= -_SIMPLEX_TOL
-    free = free[keep]
-    head = np.clip(head[keep], 0.0, 1.0)
-    return np.column_stack([head, free])
+def _row_grid(ny: int, g: int, lo=None, hi=None) -> list[np.ndarray]:
+    """Candidate stochastic rows, one array per box: coordinates 1..ny-1 are
+    gridded over the box's per-coordinate bounds (rows of ``lo`` and
+    ``hi``, by default the one unit box) with the first coordinate slowest,
+    and coordinate 0 absorbs the remainder."""
+    lo = np.zeros((1, ny - 1)) if lo is None else lo
+    hi = np.ones((1, ny - 1)) if hi is None else hi
+    # np.linspace(lo, hi, g) of each box and coordinate, in its arithmetic
+    # but without its per-call overhead: (box, coord, g)
+    axes = np.arange(g) * ((hi - lo) / (g - 1))[..., None] + lo[..., None]
+    axes[..., -1] = hi
+    idx = np.indices((g,) * (ny - 1)).reshape(ny - 1, -1)
+    free = axes[:, np.arange(ny - 1)[:, None], idx].transpose(0, 2, 1)
+    head = 1.0 - free.sum(axis=-1)
+    rows = np.concatenate([np.clip(head, 0.0, 1.0)[..., None], free], axis=-1)
+    return [box[keep] for box, keep in zip(rows, head >= -_SIMPLEX_TOL)]
 
 
 def _in_support(rows: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -179,21 +183,33 @@ def _in_support(rows: np.ndarray, support: np.ndarray) -> np.ndarray:
     return rows[~(rows[:, ~support] > SUPPORT_ATOL).any(axis=1)]
 
 
-def _joint_chunks(row_lists: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-    """Cartesian product of per-input row candidates, yielded in row-major
-    order (first input slowest) in memory-bounded blocks."""
-    sizes = [len(r) for r in row_lists]
-    total = math.prod(sizes)
-    nx = len(row_lists)
-    ny = row_lists[0].shape[1]
-    for start in range(0, total, _CHUNK_ROWS):
-        idx = np.arange(start, min(start + _CHUNK_ROWS, total))
-        cond = np.empty((idx.size, nx, ny))
-        rem = idx
-        for x in range(nx - 1, -1, -1):
-            cond[:, x, :] = row_lists[x][rem % sizes[x]]
-            rem = rem // sizes[x]
-        yield cond
+def _joint_chunks(products: Sequence[Optional[Sequence[np.ndarray]]]
+                  ) -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
+    """Cartesian products of per-input row candidates, each in row-major
+    order (first input slowest), laid end to end and yielded in blocks of at
+    most ``_CHUNK_ROWS`` rows. ``products`` holds one list of per-input rows
+    per incumbent, or None for an incumbent with no candidates; each block
+    comes with its parts ``(k, lo, hi)``: rows ``lo:hi`` belong to product
+    ``k``."""
+    sizes = [0 if rows is None else math.prod(len(r) for r in rows)
+             for rows in products]
+    ends = list(itertools.accumulate(sizes))
+    for start in range(0, ends[-1], _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, ends[-1])
+        parts, pieces = [], []
+        for k, (rows, size, end) in enumerate(zip(products, sizes, ends)):
+            begin = end - size
+            lo, hi = max(begin, start), min(end, stop)
+            if lo >= hi:
+                continue
+            parts.append((k, lo - start, hi - start))
+            rem = np.arange(lo - begin, hi - begin)
+            cond = np.empty((rem.size, len(rows), rows[0].shape[1]))
+            for x in range(len(rows) - 1, -1, -1):
+                cond[:, x, :] = rows[x][rem % len(rows[x])]
+                rem = rem // len(rows[x])
+            pieces.append(cond)
+        yield np.concatenate(pieces) if len(pieces) > 1 else pieces[0], parts
 
 
 @dataclass
@@ -221,52 +237,64 @@ def _masked(block, objective, feasible) -> np.ndarray:
     return np.where(np.isnan(masked), np.inf, masked)
 
 
-def _scan(blocks, objective, feasible, best: Optional[_Incumbent]
-          ) -> Optional[_Incumbent]:
-    """Masked argmin over candidate blocks (anything with a ``cond`` array)
-    in order: the first candidate wins a tie, and the incumbent is replaced
-    only on a strict improvement."""
-    for block in blocks:
+def _scan(blocks, objective, feasible, bests: list[Optional[_Incumbent]],
+          narrow=None) -> list[Optional[_Incumbent]]:
+    """Masked argmin over candidate blocks for several incumbents at once.
+
+    ``blocks`` yields ``(block, parts)``: the block is anything with a
+    ``cond`` array, and a part ``(k, lo, hi)`` hands its candidates
+    ``lo:hi`` to incumbent ``k``. The objective and ``feasible`` are
+    evaluated once per block; ``narrow(block, k, lo, hi)``, if given,
+    returns a further mask for the part of incumbent ``k``, or None. Per
+    incumbent, blocks are scanned in order: the first candidate wins a tie,
+    and the incumbent is replaced only on a strict improvement."""
+    bests = list(bests)
+    for block, parts in blocks:
         masked = _masked(block, objective, feasible)
-        j = int(np.argmin(masked))
-        v = float(masked[j])
-        if math.isfinite(v) and (best is None or v < best.value):
-            best = _Incumbent(v, np.array(block.cond[j]))
-    return best
+        for k, lo, hi in parts:
+            part = masked[lo:hi]
+            mask = None if narrow is None else narrow(block, k, lo, hi)
+            if mask is not None:
+                part = np.where(mask, part, np.inf)
+            j = int(np.argmin(part))
+            v = float(part[j])
+            if math.isfinite(v) and (bests[k] is None or v < bests[k].value):
+                bests[k] = _Incumbent(v, np.array(block.cond[lo + j]))
+    return bests
 
 
-def _polish(best: _Incumbent, free_rows: int, points: int, evaluate,
-            cfg: SolverConfig) -> _Incumbent:
-    """Shrinking-box polish of the incumbent's first ``free_rows`` rows.
+def _polish(bests: list[Optional[_Incumbent]], free_rows: int, points: int,
+            evaluate, cfg: SolverConfig) -> list[Optional[_Incumbent]]:
+    """Shrinking-box polish of several incumbents in lockstep; None entries
+    are left as they are.
 
     Round ``level`` grids a box of width ``refinement_shrink ** level``,
-    clipped to [0, 1], around each of those rows with ``points`` samples per
-    free coordinate, lists the incumbent's own row first so that it wins
-    ties, and passes the row lists to ``evaluate(row_lists, best)``.
+    clipped to [0, 1], around each of the first ``free_rows`` rows of every
+    incumbent, all boxes in one ``_row_grid`` call with ``points`` samples
+    per free coordinate. It lists each incumbent's own row first, so that it
+    wins ties, and passes the row lists (per incumbent one list per input,
+    or None) to ``evaluate(row_lists, bests)``, which returns the new
+    incumbents.
     """
-    ny = best.cond.shape[1]
+    live = [k for k, best in enumerate(bests) if best is not None]
+    if not live:
+        return bests
     for level in range(1, cfg.refinement_rounds + 1):
         width = cfg.refinement_shrink ** level
-        row_lists = []
-        for row in best.cond[:free_rows]:
-            lo = np.clip(row[1:] - width / 2, 0.0, 1.0)
-            hi = np.clip(row[1:] + width / 2, 0.0, 1.0)
-            row_lists.append(np.vstack([row[None, :],
-                                        _row_grid(ny, points, lo, hi)]))
-        best = evaluate(row_lists, best)
-    return best
+        rows = np.concatenate([bests[k].cond[:free_rows] for k in live])
+        boxes = _row_grid(rows.shape[1], points,
+                          np.clip(rows[:, 1:] - width / 2, 0.0, 1.0),
+                          np.clip(rows[:, 1:] + width / 2, 0.0, 1.0))
+        lists = iter([np.vstack([row[None, :], box])
+                      for row, box in zip(rows, boxes)])
+        bests = evaluate([None if best is None
+                          else list(itertools.islice(lists, free_rows))
+                          for best in bests], bests)
+    return bests
 
 
 def _finite_level(b):
     return np.isfinite(b.lam)
-
-
-def _branch_feasible(base, branch: Optional[str], rate: float):
-    if branch is None:
-        return base
-    if branch == BULK:
-        return lambda b: base(b) & (b.i_q <= rate + _BRANCH_TOL)
-    return lambda b: base(b) & (b.i_q >= rate - _BRANCH_TOL)
 
 
 class _Fiber(NamedTuple):
@@ -354,54 +382,85 @@ class Problem:
                     ) -> Iterator[np.ndarray]:
         """Free fiber rows from row lists for every input but the one whose
         row the output marginal determines (see ``_fiber``)."""
-        return _joint_chunks(
-            self._pruned(row_lists, _fiber_order(self.p_in.probs)[:-1]))
+        chunks = _joint_chunks(
+            [self._pruned(row_lists, _fiber_order(self.p_in.probs)[:-1])])
+        return (cond for cond, _ in chunks)
 
     def _base(self):
         """Measure bundles of the base grid, kept in ``_BUNDLES`` per
         channel, input and grid when at most ``_CACHE_CANDIDATE_LIMIT``
         candidates survive pruning, otherwise streamed."""
         w, g = self.w, self.cfg.grid_points_per_dim
-        row_lists = self._pruned([_row_grid(w.num_outputs, g)] * w.num_inputs)
+        row_lists = self._pruned([_row_grid(w.num_outputs, g)[0]]
+                                 * w.num_inputs)
         bundles = (_Bundle(cond, w.rows, self.p_in.probs, self.p_out.probs)
-                   for cond in _joint_chunks(row_lists))
+                   for cond, _ in _joint_chunks([row_lists]))
         if math.prod(len(r) for r in row_lists) > _CACHE_CANDIDATE_LIMIT:
             return bundles
         key = (w.rows.tobytes(), self.p_in.probs.tobytes(), g)
         return _BUNDLES.get(key, lambda: tuple(bundles))
 
-    def _solve(self, objective, feasible, seeds) -> Optional[_Incumbent]:
-        """Scan the seeds, then the base grid, then polish the incumbent;
-        the seeds come first, so a seed wins all ties."""
-        base = (bundle.at_rate(self.rate) for bundle in self._base())
-        best = _scan(itertools.chain([self._rated(np.stack(seeds))], base),
-                     objective, feasible, None)
-        if best is None:
+    def _solve(self, objective, feasible, seeds: dict
+               ) -> list[Optional[_Incumbent]]:
+        """Minimize ``objective`` over the ``feasible`` candidates of every
+        branch that ``seeds`` maps to its seed conditionals (``BULK``,
+        ``SPARSE``, or None for no mutual-information test), in lockstep.
+
+        The seeds of all branches form one bundle, scanned first so that a
+        seed wins all ties; then come the base grid and the polish rounds.
+        Each block's objective and ``feasible`` are evaluated once for every
+        branch, and each branch applies only its own ``I_Q`` test to its own
+        part. Returns one incumbent per branch, None where nothing is
+        feasible; such a branch is not polished.
+        """
+        branches = list(seeds)
+        rate = self.rate
+
+        def in_branch(block, k, lo, hi):
+            if branches[k] == BULK:
+                return block.i_q[lo:hi] <= rate + _BRANCH_TOL
+            if branches[k] == SPARSE:
+                return block.i_q[lo:hi] >= rate - _BRANCH_TOL
             return None
 
-        def evaluate(row_lists, best):
-            return _scan(map(self._rated,
-                             _joint_chunks(self._pruned(row_lists))),
-                         objective, feasible, best)
+        sizes = [len(s) for s in seeds.values()]
+        seeded = [(self._rated(np.stack(sum(seeds.values(), []))),
+                   [(k, end - size, end) for k, (size, end) in
+                    enumerate(zip(sizes, itertools.accumulate(sizes)))])]
+        base = (bundle.at_rate(rate) for bundle in self._base())
+        blocks = itertools.chain(
+            seeded, ((b, [(k, 0, len(b.cond)) for k in range(len(sizes))])
+                     for b in base))
+        bests = _scan(blocks, objective, feasible, [None] * len(sizes),
+                      in_branch)
+
+        def evaluate(row_lists, bests):
+            chunks = _joint_chunks([None if rows is None else self._pruned(rows)
+                                    for rows in row_lists])
+            return _scan(((self._rated(cond), parts) for cond, parts in chunks),
+                         objective, feasible, bests, in_branch)
 
         points = _refine_points(self.w.num_outputs,
                                 self.cfg.grid_points_per_dim)
-        return _polish(best, self.w.num_inputs, points, evaluate, self.cfg)
+        return _polish(bests, self.w.num_inputs, points, evaluate, self.cfg)
 
     def level_extremum(self, minimize: bool, branch: Optional[str] = None
                        ) -> Optional[_Incumbent]:
         """Polished extremum of the level within one branch, or over both
         when ``branch`` is None. Thin feasible slivers near a branch's level
         extremum fall between base grid points, so each branch's exponent
-        solve is seeded with this point."""
+        solve is seeded with this point. Asking for one branch solves both
+        in lockstep and keeps both."""
         key = (minimize, branch)
         if key not in self._extrema:
             sign = 1.0 if minimize else -1.0
-            feasible = _branch_feasible(_finite_level, branch, self.rate)
-            res = self._solve(lambda b: sign * b.lam, feasible, [self.w.rows])
-            if res is not None:
-                res.value = sign * res.value
-            self._extrema[key] = res
+            group = (None,) if branch is None else (BULK, SPARSE)
+            found = self._solve(lambda b: sign * b.lam, _finite_level,
+                                {br: [self.w.rows] for br in group})
+            for br, res in zip(group, found):
+                if res is not None:
+                    res.value = sign * res.value
+                self._extrema[minimize, br] = res
         return self._extrema[key]
 
     def _seeds(self, minimize: bool, branch: str) -> list[np.ndarray]:
@@ -430,11 +489,9 @@ class Problem:
         def base(b):
             return np.isfinite(b.lam) & (b.lam >= tau)
 
-        return self._result(*(
-            self._solve(self._fa_cost,
-                        _branch_feasible(base, branch, self.rate),
-                        self._seeds(False, branch))
-            for branch in (BULK, SPARSE)))
+        return self._result(*self._solve(
+            self._fa_cost, base,
+            {branch: self._seeds(False, branch) for branch in (BULK, SPARSE)}))
 
     def md(self, tau: float) -> ExponentResult:
         """Missed-detection exponent at threshold ``tau`` (see
@@ -455,11 +512,9 @@ class Problem:
                 mask[idx] = gate.values(b.q_y[idx]) <= tau
             return mask
 
-        return self._result(*(
-            self._solve(lambda b: b.d_c,
-                        _branch_feasible(base, branch, self.rate),
-                        self._seeds(True, branch))
-            for branch in (BULK, SPARSE)))
+        return self._result(*self._solve(
+            lambda b: b.d_c, base,
+            {branch: self._seeds(True, branch) for branch in (BULK, SPARSE)}))
 
     def count_near_minimum(self, value: float, atol: float = 1e-9) -> int:
         """Number of base-grid candidates with a finite level whose
@@ -477,7 +532,8 @@ class Problem:
         smallest feasible ``D_c``."""
         fibers = (_fiber(fr, q_out, self.w, self.p_in.probs, self.rate)
                   for fr in first_rows)
-        return _scan(fibers, lambda f: f.d_c, lambda f: f.feasible, best)
+        return _scan(((f, [(0, 0, len(f.cond))]) for f in fibers),
+                     lambda f: f.d_c, lambda f: f.feasible, [best])[0]
 
     def interference_level(self, q_out: np.ndarray) -> float:
         """Polished interference level of the output marginal ``q_out`` (see
@@ -487,13 +543,15 @@ class Problem:
             return -math.inf
         ny, g = self.w.num_outputs, self.cfg.grid_points_per_dim
 
-        def evaluate(row_lists, best):
-            return self._fiber_min(q_out, self._fiber_rows(row_lists), best)
+        def evaluate(row_lists, bests):
+            return [self._fiber_min(q_out, self._fiber_rows(row_lists[0]),
+                                    bests[0])]
 
-        best = evaluate([_row_grid(ny, g)] * (self.w.num_inputs - 1), None)
+        best = self._fiber_min(q_out, self._fiber_rows(
+            [_row_grid(ny, g)[0]] * (self.w.num_inputs - 1)))
         if best is None:
             return -math.inf
-        best = _polish(best, self.w.num_inputs - 1, g, evaluate, self.cfg)
+        best, = _polish([best], self.w.num_inputs - 1, g, evaluate, self.cfg)
         return d_m - best.value
 
 
@@ -546,10 +604,10 @@ def r0_exponents(w: Channel, p_in: Distribution, tau: float,
 
 class _CeilingGate:
     """Memoized batch evaluator for the interference ceiling on the base
-    fiber grid, without polish, keyed by the output marginal rounded to
-    ``_DELTA_QUANT`` decimals.
+    fiber grid, without polish, keyed by the bytes of the output marginal
+    rounded to ``_DELTA_QUANT`` decimals.
 
-    The marginals missing from the memo are evaluated together: one
+    The distinct keys missing from the memo are evaluated together: one
     broadcast of ``_fiber`` over a leading marginal axis, in chunks of at
     most ``_CHUNK_ROWS`` (marginal, fiber row) pairs, then the masked
     minimum of ``D_c`` along the fiber-row axis. Only that minimum enters
@@ -560,17 +618,21 @@ class _CeilingGate:
         self.problem = problem
         self.memo: dict[bytes, float] = {}
         w = problem.w
-        lists = [_row_grid(w.num_outputs, problem.cfg.grid_points_per_dim)
+        lists = [_row_grid(w.num_outputs, problem.cfg.grid_points_per_dim)[0]
                  ] * (w.num_inputs - 1)
         self.first_rows = np.concatenate(list(problem._fiber_rows(lists)),
                                          axis=0)
 
     def values(self, q_y_block: np.ndarray) -> np.ndarray:
-        uniq, inverse = np.unique(np.round(q_y_block, _DELTA_QUANT), axis=0,
-                                  return_inverse=True)
-        fresh = uniq[[q.tobytes() not in self.memo for q in uniq]]
-        if len(fresh):
+        rounded = np.round(q_y_block, _DELTA_QUANT)
+        # one bytes key per rounded row
+        keys = rounded.view(np.dtype((np.void, rounded.itemsize
+                                      * rounded.shape[1]))).ravel().tolist()
+        unseen = {key: q for key, q in zip(keys, rounded)
+                  if key not in self.memo}
+        if unseen:
             problem = self.problem
+            fresh = np.array(list(unseen.values()))
             level = kl_vec(fresh, problem.p_out.probs)
             finite = np.flatnonzero(np.isfinite(level))
             level[~np.isfinite(level)] = -np.inf
@@ -581,10 +643,8 @@ class _CeilingGate:
                              problem.p_in.probs, problem.rate)
                 d_c = _masked(fib, lambda f: f.d_c, lambda f: f.feasible)
                 level[idx] -= d_c.min(axis=1)
-            self.memo.update(zip(map(np.ndarray.tobytes, fresh),
-                                 map(float, level)))
-        out = np.array([self.memo[q.tobytes()] for q in uniq])
-        return out[inverse.reshape(-1)]
+            self.memo.update(zip(unseen, map(float, level)))
+        return np.array([self.memo[key] for key in keys])
 
 
 def interference_level(q_out: Distribution, w: Channel, p_in: Distribution,

@@ -514,22 +514,11 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.column_stack([rows, rest])
 
 
-def exact_r0_error_probs(n: int, w: Channel, p_in: Distribution, tau: float
-                         ) -> tuple[float, float]:
-    """Exact single-codeword error probabilities averaged over a uniformly
-    drawn codeword from the type class.
-
-    Relabeling positions permutes the output space without changing either
-    the product law or the per-codeword channel law, so every codeword in the
-    class yields the same sums. Given the codeword, the statistic depends on
-    the output only through the joint counts N(a, b), and
-    ``prod_a c_a! / prod_ab N(a, b)!`` outputs share them, so the sums run
-    over joint type classes: polynomially many in ``n``. Classes that use a
-    zero-probability transition have zero mixture mass, so they would be
-    rejected and add nothing; only classes within the channel's support are
-    formed, and their number is capped at ``TYPE_CLASS_BUDGET``. A
-    probability below the smallest double (about 1e-308) comes out as 0.
-    """
+def _r0_class_logs(n: int, w: Channel, p_in: Distribution, tau: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per joint type class of the rate-0 test: the log null mass of each
+    accepted class and the log channel mass of each rejected one (see
+    ``exact_r0_error_probs``)."""
     counts = quantized_composition(n, p_in)
     support = w.rows > 0
     classes = math.prod(math.comb(int(c) + int(s) - 1, int(s) - 1)
@@ -553,8 +542,45 @@ def exact_r0_error_probs(n: int, w: Channel, p_in: Distribution, tau: float
         log_chan = np.add.outer(log_chan,
                                 log_size + k @ log_w[a, sup]).ravel()
     accept = (log_chan - log_null) / n >= tau
-    return (math.fsum(np.exp(log_null[accept]).tolist()),
-            math.fsum(np.exp(log_chan[~accept]).tolist()))
+    return log_null[accept], log_chan[~accept]
+
+
+def exact_r0_error_probs(n: int, w: Channel, p_in: Distribution, tau: float
+                         ) -> tuple[float, float]:
+    """Exact single-codeword error probabilities averaged over a uniformly
+    drawn codeword from the type class.
+
+    Relabeling positions permutes the output space without changing either
+    the product law or the per-codeword channel law, so every codeword in the
+    class yields the same sums. Given the codeword, the statistic depends on
+    the output only through the joint counts N(a, b), and
+    ``prod_a c_a! / prod_ab N(a, b)!`` outputs share them, so the sums run
+    over joint type classes: polynomially many in ``n``. Classes that use a
+    zero-probability transition have zero mixture mass, so they would be
+    rejected and add nothing; only classes within the channel's support are
+    formed, and their number is capped at ``TYPE_CLASS_BUDGET``. A
+    probability below the smallest double (about 1e-308) comes out as 0;
+    ``exact_r0_log_error_probs`` gives its logarithm instead.
+    """
+    accepted, rejected = _r0_class_logs(n, w, p_in, tau)
+    return (math.fsum(np.exp(accepted).tolist()),
+            math.fsum(np.exp(rejected).tolist()))
+
+
+def exact_r0_log_error_probs(n: int, w: Channel, p_in: Distribution,
+                             tau: float) -> tuple[float, float]:
+    """``(ln alpha, ln beta)`` of ``exact_r0_error_probs``, summed over the
+    same classes in the log domain, so they stay finite where the
+    probabilities underflow; ``-inf`` for an empty sum."""
+    return tuple(_log_sum_exp(terms)
+                 for terms in _r0_class_logs(n, w, p_in, tau))
+
+
+def _log_sum_exp(terms: np.ndarray) -> float:
+    top = float(terms.max(initial=-math.inf))
+    if top == -math.inf:
+        return top
+    return top + math.log(math.fsum(np.exp(terms - top).tolist()))
 
 
 def estimate_error_probs(n: int, rate: float, w: Channel, p_in: Distribution,

@@ -334,3 +334,35 @@ def zchannel_oracle_md(w_param: float, rate: float, tau: float,
     branch = SPARSE if i_q[j] > rate else BULK
     return ExponentResult(float(masked[j]), _z_joint_type(float(q[j])),
                           branch, True)
+
+
+def r0_binary_log_sums(n, w_rows, p_in, tau):
+    """``(ln alpha, ln beta)`` of the rate-0 threshold test on a 2x2 channel
+    with full support, summed in the log domain over the flip counts: k0 of
+    the c0 positions with input 0 see output 1, and k1 of the c1 positions
+    with input 1 see output 0. Such a class holds C(c0, k0) C(c1, k1)
+    outputs; each term is the log of that size times the null or the
+    channel probability of one of them, and the sums shift by the largest
+    term before they exponentiate."""
+    w = np.asarray(w_rows, dtype=float)
+    p_in = np.asarray(p_in, dtype=float)
+    p_out = p_in @ w
+    c0 = round(n * p_in[0])
+    c1 = n - c0
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    k0 = np.arange(c0 + 1)[:, None]
+    k1 = np.arange(c1 + 1)[None, :]
+    log_size = (log_fact[c0] - log_fact[k0] - log_fact[c0 - k0]
+                + log_fact[c1] - log_fact[k1] - log_fact[c1 - k1])
+    ones = k0 + c1 - k1
+    log_w = ((c0 - k0) * math.log(w[0, 0]) + k0 * math.log(w[0, 1])
+             + k1 * math.log(w[1, 0]) + (c1 - k1) * math.log(w[1, 1]))
+    log_p = (n - ones) * math.log(p_out[0]) + ones * math.log(p_out[1])
+    accept = (log_w - log_p) / n >= tau
+
+    def log_sum(terms):
+        top = terms.max()
+        return top + math.log(math.fsum(np.exp(terms - top).tolist()))
+
+    return (log_sum((log_size + log_p)[accept]),
+            log_sum((log_size + log_w)[~accept]))

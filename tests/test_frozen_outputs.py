@@ -19,6 +19,7 @@ from softcover import (
     r0_exponents,
     tau_flat,
 )
+from softcover.exponents import BULK, SPARSE, Problem
 
 CFG17 = SolverConfig(grid_points_per_dim=17)
 
@@ -181,3 +182,91 @@ def test_interference_level_on_zchannel(zchannel, uniform2):
     level = interference_level(Distribution([0.6, 0.4]), zchannel, uniform2,
                                0.1)
     assert level == float("-inf")
+
+
+# Each branch's level extremum, which seeds that branch's exponent solves:
+# the value and the minimizing conditional, for (minimize, branch). Z at
+# R = 0.3 lies above I(X;Y).
+LEVEL_EXTREMA = {
+    ("Z", 0.05): {
+        (True, BULK): ("-0x1.3e2321fdf8a9cp-4",
+                       (Z_ONE, Z_ZERO, Z_ONE, Z_ZERO)),
+        (True, SPARSE): ("-0x1.854bd627f4536p-5",
+                         (Z_ONE, Z_ZERO, "0x1.b9db65ecc3e32p-1",
+                          "0x1.1892684cf073ap-3")),
+        (False, BULK): ("-0x1.854e3a7c92c30p-5",
+                        (Z_ONE, Z_ZERO, "0x1.b9dba908a265fp-1",
+                         "0x1.18915bdd76684p-3")),
+        (False, SPARSE): ("0x1.d45798958d674p-2",
+                          (Z_ONE, Z_ZERO, Z_ZERO, Z_ONE)),
+    },
+    ("Z", 0.3): {
+        (True, BULK): ("-0x1.3e2321fdf8a9cp-4",
+                       (Z_ONE, Z_ZERO, Z_ONE, Z_ZERO)),
+        (True, SPARSE): ("-0x1.bc0cc49243bc0p-9",
+                         (Z_ONE, Z_ZERO, "0x1.70e2c12ad81aep-2",
+                          "0x1.478e9f6a93f29p-1")),
+        (False, BULK): (Z_ZERO,
+                        (Z_ONE, Z_ZERO, "0x1.ccccccccccccdp-2",
+                         "0x1.199999999999ap-1")),
+        (False, SPARSE): ("0x1.a8af312b1aceap-3",
+                          (Z_ONE, Z_ZERO, Z_ZERO, Z_ONE)),
+    },
+    ("BSC", 0.05): {
+        (True, BULK): ("-0x1.cf0ba9006ba2fp-1",
+                       ("0x1.84167a95c853cp-2", "0x1.3df4c2b51bd62p-1",
+                        "0x1.622856605ee57p-1", "0x1.3baf533f42352p-2")),
+        (True, SPARSE): ("-0x1.a8d0ec4ba5a00p+0",
+                         (Z_ZERO, Z_ONE, Z_ONE, Z_ZERO)),
+        (False, BULK): ("-0x1.bb119a640cff5p-3",
+                        ("0x1.504577d955714p-1", "0x1.5f75104d551d7p-2",
+                         "0x1.5f748a159817cp-2", "0x1.5045baf533f42p-1")),
+        (False, SPARSE): ("0x1.1358c613f582ap-1",
+                          (Z_ONE, Z_ZERO, Z_ZERO, Z_ONE)),
+    },
+    ("SPARSE_2X3", 0.1): {
+        (True, BULK): ("-0x1.32e3d95d59100p-5",
+                       ("0x1.0a8c154c985f0p-2", "0x1.7ab9f559b3d08p-1",
+                        Z_ZERO, Z_ZERO, Z_ONE, Z_ZERO)),
+        (True, SPARSE): ("-0x1.32ec9264806e4p-5",
+                         ("0x1.0a94d242e6bdcp-2", "0x1.7ab596de8ca12p-1",
+                          Z_ZERO, Z_ZERO, Z_ONE, Z_ZERO)),
+        (False, BULK): ("0x1.0000000000000p-52",
+                        (Z_ZERO, Z_ONE, Z_ZERO, Z_ZERO,
+                         "0x1.8000000000000p-1", "0x1.0000000000000p-2")),
+        (False, SPARSE): ("0x1.2fb0fcbc706bdp-1",
+                          (Z_ONE, Z_ZERO, Z_ZERO, Z_ZERO, Z_ZERO, Z_ONE)),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEVEL_EXTREMA))
+@pytest.mark.parametrize("order", ["bulk first", "sparse first"])
+def test_level_extrema_per_branch(zchannel, bsc, uniform2, case, order):
+    name, rate = case
+    w = {"Z": zchannel, "BSC": bsc, "SPARSE_2X3": Channel(SPARSE_2X3)}[name]
+    problem = Problem(w, uniform2, rate,
+                      CFG17 if name == "SPARSE_2X3" else None)
+    branches = [BULK, SPARSE] if order == "bulk first" else [SPARSE, BULK]
+    got = {}
+    for minimize in (True, False):
+        for branch in branches:
+            res = problem.level_extremum(minimize, branch)
+            got[minimize, branch] = (
+                res.value.hex(), tuple(float(v).hex() for v in res.cond.ravel()))
+    assert got == LEVEL_EXTREMA[case]
+
+
+def test_md_with_a_dead_sparse_branch(zchannel, uniform2):
+    # above I(X;Y) at tau < 0 no sparse type passes the level and the
+    # ceiling tests, so the bulk branch alone decides
+    assert _hex(md_exponent(zchannel, uniform2, -0.01, 0.3)) == (
+        "0x1.f52a91ae0362cp-6", "bulk",
+        (Z_ONE, Z_ZERO, "0x1.3fa0d77b7c782p-1", "0x1.80be5109070fcp-2"))
+
+
+def test_gated_md_with_both_branches_live(zchannel, uniform2):
+    # both branches have a feasible minimum here (bulk 0.186, sparse 0.142)
+    assert _hex(md_exponent(zchannel, uniform2, -0.02, 0.05)) == (
+        "0x1.22ee2d8c76db7p-3", "sparse",
+        (Z_ONE, Z_ZERO, "0x1.a1c58255b035cp-1", "0x1.78e9f6a93f291p-3"))

@@ -14,6 +14,7 @@ from softcover import (
     Distribution,
     estimate_error_probs,
     exact_r0_error_probs,
+    exact_r0_log_error_probs,
     llr,
     llr_from_types,
     mixture_prob,
@@ -36,6 +37,7 @@ from _oracles import (
     exact_probs_mixture,
     exact_probs_single_codeword,
     exact_probs_type_class_average,
+    r0_binary_log_sums,
     r0_class_levels,
     r0_type_class_sums,
     single_codeword_joint_type_prob,
@@ -455,6 +457,42 @@ def test_type_class_engine_with_an_unused_input_symbol():
         got = exact_r0_error_probs(6, w, p_in, tau)
         want = exact_error_probs(cb, w, p_out, tau)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [40, 100])
+def test_log_probabilities_match_the_probabilities(n, zchannel, bsc):
+    uniform = Distribution([0.5, 0.5])
+    for w in (zchannel, bsc):
+        p_out = uniform.probs @ w.rows
+        counts = quantized_composition(n, uniform)
+        for tau in _clear_thresholds(counts, w, p_out):
+            probs = exact_r0_error_probs(n, w, uniform, tau)
+            logs = exact_r0_log_error_probs(n, w, uniform, tau)
+            for prob, log in zip(probs, logs):
+                assert prob > 0
+                assert math.exp(log) == pytest.approx(prob, rel=1e-12, abs=0.0)
+
+
+def test_log_probabilities_where_the_probability_underflows(bsc, uniform2):
+    # alpha is about exp(-1477): 0.0 as a probability, finite as a log
+    alpha, beta = exact_r0_error_probs(2800, bsc, uniform2, 0.5)
+    log_alpha, log_beta = exact_r0_log_error_probs(2800, bsc, uniform2, 0.5)
+    want_alpha, want_beta = r0_binary_log_sums(2800, bsc.rows.tolist(),
+                                               [0.5, 0.5], 0.5)
+    assert alpha == 0.0
+    assert math.isfinite(log_alpha)
+    assert log_alpha == pytest.approx(want_alpha, rel=1e-9, abs=0.0)
+    # beta is within 1e-11 of 1, so its log is compared on the linear scale
+    assert math.exp(log_beta) == pytest.approx(beta, rel=1e-12, abs=0.0)
+    assert math.exp(log_beta) == pytest.approx(math.exp(want_beta),
+                                               rel=1e-9, abs=0.0)
+
+
+def test_log_probabilities_of_an_empty_sum(bsc, uniform2):
+    # no class reaches a level of 10 nats, so nothing is accepted
+    log_alpha, log_beta = exact_r0_log_error_probs(40, bsc, uniform2, 10.0)
+    assert log_alpha == -math.inf
+    assert log_beta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_type_class_budget(random_2x3_channels, uniform2):
