@@ -30,6 +30,7 @@ from .simulate import (
     codebook_size,
     estimate_from_values,
     exact_r0_error_probs,
+    exact_r0_log_error_probs,
     per_trial_error_probs,
 )
 
@@ -379,6 +380,11 @@ def cmd_simulate(args) -> int:
         "beta": {"mean": beta_est.mean, "std_error": beta_est.std_error},
         "units": "bits" if bits else "nats",
     }
+    if args.mode == "exact-r0":
+        # the logs stay finite where alpha or beta underflows to 0.0
+        summary["log_alpha"], summary["log_beta"] = (
+            _unit_out(v, bits)
+            for v in exact_r0_log_error_probs(args.n, w, p_in, tau))
     print(json.dumps(summary, indent=2))
     return 0
 

@@ -6,6 +6,17 @@ missed-detection exponent minimizes the conditional divergence ``D_c`` over
 types whose level falls below it, with an extra interference ceiling active
 at non-positive thresholds.
 
+With ``i(x, y) = ln W(y|x) / P_Y(y)`` the level is
+``max(D_m - D_c, E_V[i] - R)``, and ``D_m <= D_c`` by data processing. So
+at ``tau > 0``, and at every threshold when ``R = 0``, the missed-detection
+feasible set is the half-space ``E_V[i] <= tau + R``. Its minimum is
+Hoeffding's tilt ``V_s(y|x) ∝ W(y|x) exp(-s i(x, y))`` at the ``s`` where
+the mean of ``i`` meets ``tau + R`` (Blahut, IEEE Trans. IT 1974), found
+exactly by a 1-D root search with no grid, so the solver configuration has
+no effect there. The grid below serves the false-alarm exponent, the level
+extrema, the interference level and the gated missed-detection exponent
+(``R > 0``, ``tau <= 0``).
+
 The generic solver lays a dense grid over the free conditional coordinates
 (one simplex per input symbol), splits the non-smooth clipped rate term into
 the bulk branch (``I_Q <= R``) and the sparse branch (``I_Q >= R``), and
@@ -52,6 +63,7 @@ from .measures import (
     entropy_vec,
     kl_vec,
     mix_vec,
+    mutual_information_vec,
     output_marginal,
 )
 
@@ -59,6 +71,7 @@ _BRANCH_TOL = 1e-12
 _CHUNK_ROWS = 1 << 18
 _SIMPLEX_TOL = 1e-9
 _DELTA_QUANT = 6  # decimal places used to memoize the interference ceiling
+_TILT_STEPS = 200  # bound on the Newton and bisection steps of a tilt root
 
 BULK = "bulk"
 SPARSE = "sparse"
@@ -297,6 +310,46 @@ def _finite_level(b):
     return np.isfinite(b.lam)
 
 
+def _tilted(log_w: np.ndarray, info: np.ndarray, s: float):
+    """Rows of the tilt ``V_s ∝ W exp(-s info)`` by log-sum-exp (``log_w`` is
+    ``-inf`` off the support, where ``info`` is 0), with the mean and the
+    variance of ``info`` under each row."""
+    logits = log_w - s * info
+    rows = np.exp(logits - logits.max(axis=1, keepdims=True))
+    rows /= rows.sum(axis=1, keepdims=True)
+    mean = (rows * info).sum(axis=1)
+    var = (rows * (info - mean[:, None]) ** 2).sum(axis=1)
+    return rows, mean, var
+
+
+def _tilt_root(p: np.ndarray, log_w: np.ndarray, info: np.ndarray,
+               t: float) -> tuple[float, np.ndarray]:
+    """The least ``s >= 0`` at which the ``p``-weighted mean of ``info``
+    under ``_tilted`` rows is at most ``t``, and those rows. The mean falls
+    as ``s`` grows, with slope minus the weighted variance; safeguarded
+    Newton keeps a bracket ``(lo, hi)`` and bisects it (or doubles ``s``
+    while ``hi`` is infinite) when a step leaves it. ``t`` must exceed the
+    mean's infimum."""
+    lo, hi, s = 0.0, math.inf, 0.0
+    for _ in range(_TILT_STEPS):
+        rows, mean, var = _tilted(log_w, info, s)
+        gap = float(p @ mean) - t
+        if gap <= 0:
+            hi = s
+            if gap == 0 or s == 0:
+                break
+        else:
+            lo = s
+        slope = float(p @ var)
+        step = s + gap / slope if slope > 0 else math.inf
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * max(s, 1.0)
+        if abs(step - s) <= 4 * math.ulp(s):
+            break
+        s = step
+    return s, rows
+
+
 class _Fiber(NamedTuple):
     cond: np.ndarray
     d_c: np.ndarray
@@ -495,26 +548,61 @@ class Problem:
 
     def md(self, tau: float) -> ExponentResult:
         """Missed-detection exponent at threshold ``tau`` (see
-        ``md_exponent``); the interference ceiling binds when the rate is
-        positive and ``tau <= 0``."""
+        ``md_exponent``).
+
+        When ``tau > 0`` or the rate is zero the feasible set is the
+        half-space ``E_V[i] <= tau + R``, and ``_md_tilt`` returns its exact
+        minimum, Hoeffding's tilt of ``W``, to root-finding tolerance; the
+        grid and ``cfg`` are not used. Otherwise (``R > 0``, ``tau <= 0``)
+        the grid solver runs with the interference-ceiling gate."""
+        if tau > 0 or self.rate == 0:
+            return self._md_tilt(tau + self.rate)
         bottoms = [self.level_extremum(True, branch)
                    for branch in (BULK, SPARSE)]
         lam_min = min((b.value for b in bottoms if b is not None),
                       default=math.inf)
         if not lam_min < tau:
             return ExponentResult(math.inf, None, None, False)
-        gate = self._gate if self.rate > 0 and tau <= 0 else None
 
         def base(b):
             mask = np.isfinite(b.d_c) & (b.lam <= tau)
-            if gate is not None and mask.any():
+            if mask.any():
                 idx = np.flatnonzero(mask)
-                mask[idx] = gate.values(b.q_y[idx]) <= tau
+                mask[idx] = self._gate.values(b.q_y[idx]) <= tau
             return mask
 
         return self._result(*self._solve(
             lambda b: b.d_c, base,
             {branch: self._seeds(True, branch) for branch in (BULK, SPARSE)}))
+
+    def _md_tilt(self, t: float) -> ExponentResult:
+        """Minimum of ``D_c`` over the half-space ``E_V[i] <= t``.
+
+        Infeasible exactly when ``t`` is at most ``sum_x P(x) min_y i(x, y)``
+        over the support, the level minimum; the minimizer is ``W`` when
+        ``I(X;Y) <= t``, otherwise the tilt ``V_s`` whose mean meets ``t``.
+        Inputs with no mass keep their row of ``W``. The branch tag follows
+        ``_result``: bulk when the minimizer's mutual information is at most
+        the rate, up to ``_BRANCH_TOL``."""
+        p, w = self.p_in.probs, self.w
+        live = p > SUPPORT_ATOL
+        support = w.support_mask[live]
+        # P_Y > 0 on the support of every input with mass
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_w = np.where(support, np.log(w.rows[live]), -np.inf)
+            info = np.where(support, log_w - np.log(self.p_out.probs), 0.0)
+        if not t > p[live] @ np.where(support, info, np.inf).min(axis=1):
+            return ExponentResult(math.inf, None, None, False)
+        s, rows = _tilt_root(p[live], log_w, info, t)
+        cond = np.array(w.rows)
+        if s > 0:
+            cond[live] = rows
+        minimizer = JointType(self.p_in, cond)
+        value = float(cond_kl_vec(minimizer.conditional, w.rows, p))
+        i_q = float(mutual_information_vec(minimizer.conditional, p))
+        return ExponentResult(
+            value, minimizer,
+            BULK if i_q <= self.rate + _BRANCH_TOL else SPARSE, True)
 
     def count_near_minimum(self, value: float, atol: float = 1e-9) -> int:
         """Number of base-grid candidates with a finite level whose
@@ -573,8 +661,12 @@ def md_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
 
     Minimizes ``D_c`` over the closure of the strict sublevel set of the
     likelihood-ratio level; feasibility requires the level minimum to lie
-    strictly below ``tau``. For ``tau <= 0`` candidates must additionally
-    keep the interference ceiling of their output marginal below ``tau``.
+    strictly below ``tau``. For ``tau > 0`` that set is the half-space
+    ``E_V[i] <= tau + rate`` and the minimum is Hoeffding's tilt of ``W``,
+    found by a 1-D root search: exact to root-finding tolerance, not limited
+    by grid resolution, and ``cfg`` has no effect on it. For ``tau <= 0``
+    candidates must additionally keep the interference ceiling of their
+    output marginal below ``tau``, and the grid solver with ``cfg`` runs.
     """
     if rate == 0:
         raise ValueError(
@@ -591,7 +683,10 @@ def r0_exponents(w: Channel, p_in: Distribution, tau: float,
 
     The two variational problems are solved with the rate pinned at zero and
     the interference ceiling disabled, since a lone codeword has nothing to
-    interfere with it.
+    interfere with it. At rate zero the level is ``E_V[i]``, so the
+    missed-detection exponent is the exact tilt over the half-space
+    ``E_V[i] <= tau`` at every threshold, and ``cfg`` only affects the
+    false-alarm exponent.
     """
     problem = Problem(w, p_in, 0.0, cfg)
     return problem.fa(tau), problem.md(tau)

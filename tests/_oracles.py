@@ -366,3 +366,42 @@ def r0_binary_log_sums(n, w_rows, p_in, tau):
 
     return (log_sum((log_size + log_p)[accept]),
             log_sum((log_size + log_w)[~accept]))
+
+
+# ---------------------------------------------------------------------------
+# Hoeffding's dual for the missed-detection half-space {E_V[i] <= t}, where
+# i(x, y) = ln W(y|x) / P_Y(y): at rate 0, and at any rate for tau > 0, that
+# half-space is the whole feasible set and the exponent equals the dual
+# ---------------------------------------------------------------------------
+
+def md_tilt_dual(rows, p_in, t):
+    """sup_{s >= 0} -s t - sum_x P(x) ln sum_y W(y|x)^(1-s) P_Y(y)^s, with
+    the inner sums over the support of W(.|x), maximized by bounded Brent;
+    ``inf`` when t <= sum_x P(x) min_y i(x, y), where no type is feasible."""
+    from scipy.optimize import minimize_scalar
+    from scipy.special import logsumexp
+
+    w = np.asarray(rows, dtype=float)
+    p = np.asarray(p_in, dtype=float)
+    p_y = p @ w
+    live = [x for x in range(len(p)) if p[x] > 0]
+    supports = [w[x] > 0 for x in live]
+    log_w = [np.log(w[x][supp]) for x, supp in zip(live, supports)]
+    log_p = [np.log(p_y[supp]) for supp in supports]
+    i_min = sum(p[x] * float(np.min(lw - lp))
+                for x, lw, lp in zip(live, log_w, log_p))
+    if t <= i_min:
+        return math.inf
+
+    def dual(s):
+        return -s * t - sum(p[x] * float(logsumexp((1 - s) * lw + s * lp))
+                            for x, lw, lp in zip(live, log_w, log_p))
+
+    # the dual is concave: once it stops growing from s to 2s, the
+    # maximizer lies in [0, 2s]
+    top = 1.0
+    while dual(2 * top) > dual(top):
+        top *= 2
+    found = minimize_scalar(lambda s: -dual(s), bounds=(0.0, 2 * top),
+                            method="bounded", options={"xatol": 1e-13})
+    return max(dual(float(found.x)), dual(0.0))

@@ -227,6 +227,20 @@ def test_simulate_exact_r0_summary_numbers_fit_a_double(z_spec_file, tmp_path,
         assert isinstance(value, float) or abs(value) < 2 ** 53
 
 
+def test_simulate_exact_r0_prints_finite_logs_where_alpha_underflows(
+        tmp_path, capsys):
+    spec = tmp_path / "bsc.channel"
+    spec.write_text(BSC_SPEC)
+    out = str(tmp_path / "sim.csv")
+    assert main(["simulate", "--spec", str(spec), "--n", "2800", "--rate",
+                 "0", "--tau", "0.5", "--mode", "exact-r0", "--out", out]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["alpha"]["mean"] == 0.0
+    assert math.isfinite(payload["log_alpha"])
+    assert math.isfinite(payload["log_beta"])
+    assert payload["log_alpha"] < math.log(5e-324)
+
+
 @pytest.mark.parametrize("name", ["z-channel", "z-kanal-\u00e4"])
 def test_spec_hash_is_sha256_of_the_spec_file(name, tmp_path, capsys):
     path = tmp_path / "z.channel"

@@ -4,6 +4,10 @@ Every value, branch tag and minimizer entry below was recorded from the
 solver and is compared with ``==`` on ``float.hex``. A refactor of the scan
 or the polish loop must leave all of them unchanged; a deliberate change of
 the numbers has to re-record them and say why.
+
+``Z_MD[0.1]``, the skewed-input E_MD at tau = 0.1 and the rate-0 E_MD are
+the exact Hoeffding tilt (see ``test_md_tilt.py``), which replaced the grid
+solve there: each value dropped by less than 4e-7 and kept its tag.
 """
 
 import pytest
@@ -36,8 +40,8 @@ Z_FA = {
 }
 
 Z_MD = {
-    0.1: ("0x1.aa5d48143b7bcp-6", "sparse",
-          (Z_ONE, Z_ZERO, "0x1.38c08b75ea67ep-1", "0x1.8e7ee9142b303p-2")),
+    0.1: ("0x1.aa5d0c6b5cc14p-6", "sparse",
+          (Z_ONE, Z_ZERO, "0x1.38c085bcd2a1ap-1", "0x1.8e7ef4865abcep-2")),
     -0.06: ("0x1.057a629797cf1p-2", "bulk",
             (Z_ONE, Z_ZERO, "0x1.d863beec3979ap-1", "0x1.3ce2089e34331p-4")),
     -10.0: ("inf", None, None),
@@ -107,9 +111,9 @@ def test_rate_zero_exponents(zchannel, uniform2):
     assert _hex(fa) == ("0x1.494d37b239f76p-3", "sparse",
                         (Z_ONE, Z_ZERO, "0x1.7333333333333p-1",
                          "0x1.199999999999ap-2"))
-    assert _hex(md) == ("0x1.d72b165ba9f94p-4", "sparse",
-                        (Z_ONE, Z_ZERO, "0x1.9044ae85b9e8cp-1",
-                         "0x1.beed45e9185cfp-3"))
+    assert _hex(md) == ("0x1.d72ac541aed7dp-4", "sparse",
+                        (Z_ONE, Z_ZERO, "0x1.9044a0cace933p-1",
+                         "0x1.beed7cd4c5b38p-3"))
 
 
 # Channels with structural zeros: the solver may drop candidates that put
@@ -154,8 +158,8 @@ def test_zchannel_with_skewed_input(zchannel):
         "0x1.b94fef909e488p-4", "sparse",
         (Z_ONE, Z_ZERO, "0x1.0c67168f8e7dep-1", "0x1.e731d2e0e3045p-2"))
     assert _hex(md_exponent(zchannel, p_in, 0.1, 0.05)) == (
-        "0x1.fb6b789b02f1bp-8", "sparse",
-        (Z_ONE, Z_ZERO, "0x1.0c6759ab6d00bp-1", "0x1.e7314ca925feap-2"))
+        "0x1.fb64e08de42f1p-8", "sparse",
+        (Z_ONE, Z_ZERO, "0x1.0c671a5fa5c5ep-1", "0x1.e731cb40b4744p-2"))
     assert _hex(md_exponent(zchannel, p_in, -0.05, 0.05)) == (
         "0x1.331a540eb7188p-2", "bulk",
         (Z_ONE, Z_ZERO, "0x1.c759253543aebp-1", "0x1.c536d655e28aap-4"))
