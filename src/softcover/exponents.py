@@ -9,13 +9,19 @@ at non-positive thresholds.
 With ``i(x, y) = ln W(y|x) / P_Y(y)`` the level is
 ``max(D_m - D_c, E_V[i] - R)``, and ``D_m <= D_c`` by data processing. So
 at ``tau > 0``, and at every threshold when ``R = 0``, the missed-detection
-feasible set is the half-space ``E_V[i] <= tau + R``. Its minimum is
+feasible set is the half-space ``E_V[i] <= tau + R`` and the false-alarm
+one the half-space ``E_V[i] >= tau + R``. The missed-detection minimum is
 Hoeffding's tilt ``V_s(y|x) ∝ W(y|x) exp(-s i(x, y))`` at the ``s`` where
-the mean of ``i`` meets ``tau + R`` (Blahut, IEEE Trans. IT 1974), found
-exactly by a 1-D root search with no grid, so the solver configuration has
-no effect there. The grid below serves the false-alarm exponent, the level
-extrema, the interference level and the gated missed-detection exponent
-(``R > 0``, ``tau <= 0``).
+the mean of ``i`` meets ``tau + R`` (Blahut, IEEE Trans. IT 1974). Since
+``E_V[i] = D_m - D_c + I_V``, ``I_V >= E_V[i]``: every false-alarm feasible
+type at ``tau > 0`` has ``I_V > R``, so its cost is ``D(V || P_Y | P) - R``,
+minimized by the tilt ``V_s(y|x) ∝ P_Y(y) exp(s i(x, y))``; the set is empty
+beyond the edge ``sum_x P(x) max_y i(x, y)``, where the level maximum
+``[edge - R]_+`` lies. Both tilts are found exactly by one 1-D root search
+with no grid, so the solver configuration has no effect there. The grid
+below serves the false-alarm exponent at ``R > 0`` and ``tau <= 0``, the
+gated missed-detection exponent (``R > 0``, ``tau <= 0``), the level
+minimum, the per-branch level extrema and the interference level.
 
 The generic solver lays a dense grid over the free conditional coordinates
 (one simplex per input symbol), splits the non-smooth clipped rate term into
@@ -310,11 +316,13 @@ def _finite_level(b):
     return np.isfinite(b.lam)
 
 
-def _tilted(log_w: np.ndarray, info: np.ndarray, s: float):
-    """Rows of the tilt ``V_s ∝ W exp(-s info)`` by log-sum-exp (``log_w`` is
-    ``-inf`` off the support, where ``info`` is 0), with the mean and the
-    variance of ``info`` under each row."""
-    logits = log_w - s * info
+def _tilted(log_base: np.ndarray, info: np.ndarray, s: float):
+    """Rows of the tilt ``V_s ∝ base exp(-s info)`` by log-sum-exp
+    (``log_base`` is ``-inf`` off the support, where ``info`` is 0), with
+    the mean and the variance of ``info`` under each row. The
+    missed-detection tilt takes ``W`` and ``i`` here, the false-alarm tilt
+    ``P_Y`` and ``-i``."""
+    logits = log_base - s * info
     rows = np.exp(logits - logits.max(axis=1, keepdims=True))
     rows /= rows.sum(axis=1, keepdims=True)
     mean = (rows * info).sum(axis=1)
@@ -322,7 +330,7 @@ def _tilted(log_w: np.ndarray, info: np.ndarray, s: float):
     return rows, mean, var
 
 
-def _tilt_root(p: np.ndarray, log_w: np.ndarray, info: np.ndarray,
+def _tilt_root(p: np.ndarray, log_base: np.ndarray, info: np.ndarray,
                t: float) -> tuple[float, np.ndarray]:
     """The least ``s >= 0`` at which the ``p``-weighted mean of ``info``
     under ``_tilted`` rows is at most ``t``, and those rows. The mean falls
@@ -332,7 +340,7 @@ def _tilt_root(p: np.ndarray, log_w: np.ndarray, info: np.ndarray,
     mean's infimum."""
     lo, hi, s = 0.0, math.inf, 0.0
     for _ in range(_TILT_STEPS):
-        rows, mean, var = _tilted(log_w, info, s)
+        rows, mean, var = _tilted(log_base, info, s)
         gap = float(p @ mean) - t
         if gap <= 0:
             hi = s
@@ -348,6 +356,33 @@ def _tilt_root(p: np.ndarray, log_w: np.ndarray, info: np.ndarray,
             break
         s = step
     return s, rows
+
+
+class _Info(NamedTuple):
+    """The information density ``i = ln W / P_Y`` on the inputs with mass
+    (mask ``live``, masses ``p``), which both tilts start from: ``log_w``
+    and ``log_p_y`` are ``ln W`` and ``ln P_Y`` on the ``support`` of each
+    row and ``-inf`` off it, and ``info`` is ``i`` on the support and 0 off
+    it."""
+
+    live: np.ndarray
+    p: np.ndarray
+    support: np.ndarray
+    log_w: np.ndarray
+    log_p_y: np.ndarray
+    info: np.ndarray
+
+    def row_edges(self, top: bool) -> np.ndarray:
+        """Per row, the largest (``top``) or least ``i`` over the
+        support."""
+        if top:
+            return np.where(self.support, self.info, -np.inf).max(axis=1)
+        return np.where(self.support, self.info, np.inf).min(axis=1)
+
+    def edge(self, top: bool) -> float:
+        """``sum_x P(x) max_y i(x, y)`` (``top``) or ``min_y``, over the
+        support: the largest or the least mean of ``i``."""
+        return float(self.p @ self.row_edges(top))
 
 
 class _Fiber(NamedTuple):
@@ -405,13 +440,31 @@ class Problem:
         self.w = w
         self.p_in = p_in
         self.rate = rate
-        self.cfg = cfg or default_config(w)
+        self._cfg = cfg
         self.p_out = output_marginal(p_in, w)
         self._extrema: dict[tuple, Optional[_Incumbent]] = {}
 
     @cached_property
+    def cfg(self) -> SolverConfig:
+        """The grid configuration, resolved on first use: the tilts use
+        none, so they never ask ``default_config`` for one."""
+        return self._cfg or default_config(self.w)
+
+    @cached_property
     def _gate(self) -> _CeilingGate:
         return _CeilingGate(self)
+
+    @cached_property
+    def _info(self) -> _Info:
+        p, w = self.p_in.probs, self.w
+        live = p > SUPPORT_ATOL
+        support = w.support_mask[live]
+        # P_Y > 0 on the support of every input with mass
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_w = np.where(support, np.log(w.rows[live]), -np.inf)
+            log_p_y = np.where(support, np.log(self.p_out.probs), -np.inf)
+            info = np.where(support, log_w - log_p_y, 0.0)
+        return _Info(live, p[live], support, log_w, log_p_y, info)
 
     def _rated(self, cond: np.ndarray) -> _RatedBundle:
         return _Bundle(cond, self.w.rows, self.p_in.probs,
@@ -537,8 +590,24 @@ class Problem:
     def _fa_cost(self, b: _RatedBundle) -> np.ndarray:
         return b.d_m + np.maximum(b.i_q - self.rate, 0.0)
 
+    def level_max(self) -> float:
+        """Largest level over channel-compatible types, in closed form:
+        ``[sum_x P(x) max_y i(x, y) - R]_+``. The level is the larger of
+        ``D_m - D_c``, which is at most 0 and is 0 at ``W``, and
+        ``E_V[i] - R``, which peaks at the false-alarm tilt's edge."""
+        return max(self._info.edge(top=True) - self.rate, 0.0)
+
     def fa(self, tau: float) -> ExponentResult:
-        """False-alarm exponent at threshold ``tau`` (see ``fa_exponent``)."""
+        """False-alarm exponent at threshold ``tau`` (see ``fa_exponent``).
+
+        When ``tau > 0`` or the rate is zero the feasible set is the
+        half-space ``E_V[i] >= tau + R``, and ``_fa_tilt`` returns its exact
+        minimum to root-finding tolerance; the grid and ``cfg`` are not
+        used. Otherwise (``R > 0``, ``tau <= 0``) the grid solver runs,
+        seeded with each branch's level maximum."""
+        if tau > 0 or self.rate == 0:
+            return self._fa_tilt(tau + self.rate)
+
         def base(b):
             return np.isfinite(b.lam) & (b.lam >= tau)
 
@@ -581,27 +650,58 @@ class Problem:
         Infeasible exactly when ``t`` is at most ``sum_x P(x) min_y i(x, y)``
         over the support, the level minimum; the minimizer is ``W`` when
         ``I(X;Y) <= t``, otherwise the tilt ``V_s`` whose mean meets ``t``.
-        Inputs with no mass keep their row of ``W``. The branch tag follows
-        ``_result``: bulk when the minimizer's mutual information is at most
-        the rate, up to ``_BRANCH_TOL``."""
-        p, w = self.p_in.probs, self.w
-        live = p > SUPPORT_ATOL
-        support = w.support_mask[live]
-        # P_Y > 0 on the support of every input with mass
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_w = np.where(support, np.log(w.rows[live]), -np.inf)
-            info = np.where(support, log_w - np.log(self.p_out.probs), 0.0)
-        if not t > p[live] @ np.where(support, info, np.inf).min(axis=1):
+        Inputs with no mass keep their row of ``W``."""
+        info, p, w = self._info, self.p_in.probs, self.w.rows
+        if not t > info.edge(top=False):
             return ExponentResult(math.inf, None, None, False)
-        s, rows = _tilt_root(p[live], log_w, info, t)
-        cond = np.array(w.rows)
-        if s > 0:
-            cond[live] = rows
+        s, rows = _tilt_root(info.p, info.log_w, info.info, t)
+        return self._tilt_result(
+            rows if s > 0 else None,
+            lambda cond, i_q: float(cond_kl_vec(cond, w, p)))
+
+    def _fa_tilt(self, t: float) -> ExponentResult:
+        """Minimum of the false-alarm cost over the half-space
+        ``E_V[i] >= t``.
+
+        Since ``E_V[i] = D_m - D_c + I`` and ``D_c >= D_m``, ``I >= E_V[i]``:
+        at ``tau > 0`` every feasible type has ``I >= t > R``, so the cost
+        ``D_m + [I - R]_+`` is ``D(V || P_Y | P) - R``, and at rate 0 it is
+        ``D(V || P_Y | P)``. Feasible exactly when ``t`` is at most the edge
+        ``sum_x P(x) max_y i(x, y)`` over the support. The minimizer is the
+        tilt ``V_s ∝ P_Y exp(s i)`` on the support of each input with mass
+        at the least ``s >= 0`` whose mean of ``i`` reaches ``t``, and at
+        the edge its limit, ``P_Y`` on each row's argmax set of ``i``.
+        Inputs with no mass keep their row of ``W``. The value is the cost
+        of the minimizer."""
+        info, p, p_y = self._info, self.p_in.probs, self.p_out.probs
+        top = info.edge(top=True)
+        if not t <= top:
+            return ExponentResult(math.inf, None, None, False)
+        if t == top:
+            peak = info.support & (info.info == info.row_edges(True)[:, None])
+            rows = np.where(peak, p_y, 0.0)
+            rows /= rows.sum(axis=1, keepdims=True)
+        else:
+            _, rows = _tilt_root(info.p, info.log_p_y, -info.info, -t)
+        return self._tilt_result(
+            rows, lambda cond, i_q: float(kl_vec(mix_vec(cond, p), p_y))
+            + max(i_q - self.rate, 0.0))
+
+    def _tilt_result(self, rows: Optional[np.ndarray], cost
+                     ) -> ExponentResult:
+        """The joint type with ``rows`` on the inputs with mass (by default
+        the channel's) and the channel's rows elsewhere, valued by
+        ``cost(conditional, I)``. The branch tag follows ``_result``: bulk
+        when the mutual information is at most the rate, up to
+        ``_BRANCH_TOL``."""
+        cond = np.array(self.w.rows)
+        if rows is not None:
+            cond[self._info.live] = rows
         minimizer = JointType(self.p_in, cond)
-        value = float(cond_kl_vec(minimizer.conditional, w.rows, p))
-        i_q = float(mutual_information_vec(minimizer.conditional, p))
+        i_q = float(mutual_information_vec(minimizer.conditional,
+                                           self.p_in.probs))
         return ExponentResult(
-            value, minimizer,
+            cost(minimizer.conditional, i_q), minimizer,
             BULK if i_q <= self.rate + _BRANCH_TOL else SPARSE, True)
 
     def count_near_minimum(self, value: float, atol: float = 1e-9) -> int:
@@ -650,7 +750,13 @@ def fa_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
     Minimizes ``D_m + [I_Q - R]_+`` over joint types whose level is at least
     ``tau``; returns an infeasible result (value ``+inf``) when no type
     reaches the threshold. ``tau = -inf`` is accepted and yields the
-    unconstrained minimum over channel-compatible types.
+    unconstrained minimum over channel-compatible types. For ``tau > 0``
+    the feasible set is the half-space ``E_V[i] >= tau + rate``, on which
+    ``I_Q >= E_V[i] > rate``; the minimum is the tilt ``P_Y exp(s i)``,
+    found by a 1-D root search: exact to root-finding tolerance, and
+    ``cfg`` has no effect on it. It is infeasible exactly when
+    ``tau + rate > sum_x P(x) max_y i(x, y)``. For ``tau <= 0`` the grid
+    solver with ``cfg`` runs.
     """
     return Problem(w, p_in, rate, cfg).fa(tau)
 
@@ -676,19 +782,20 @@ def md_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
     return Problem(w, p_in, rate, cfg).md(tau)
 
 
-def r0_exponents(w: Channel, p_in: Distribution, tau: float,
-                 cfg: Optional[SolverConfig] = None
+def r0_exponents(w: Channel, p_in: Distribution, tau: float
                  ) -> tuple[ExponentResult, ExponentResult]:
     """Both exponents for a single-codeword codebook (rate zero).
 
     The two variational problems are solved with the rate pinned at zero and
     the interference ceiling disabled, since a lone codeword has nothing to
-    interfere with it. At rate zero the level is ``E_V[i]``, so the
-    missed-detection exponent is the exact tilt over the half-space
-    ``E_V[i] <= tau`` at every threshold, and ``cfg`` only affects the
-    false-alarm exponent.
+    interfere with it. At rate zero the level is ``E_V[i]`` (``I_V >=
+    E_V[i]`` absorbs the other term), so at every threshold both exponents
+    are exact 1-D tilts with no grid: the false-alarm one over the
+    half-space ``E_V[i] >= tau``, of cost ``D(V || P_Y | P)``, feasible up
+    to ``tau = sum_x P(x) max_y i(x, y)``, and the missed-detection one over
+    ``E_V[i] <= tau``. No solver configuration is involved.
     """
-    problem = Problem(w, p_in, 0.0, cfg)
+    problem = Problem(w, p_in, 0.0)
     return problem.fa(tau), problem.md(tau)
 
 

@@ -107,13 +107,14 @@ class PhaseGrid:
 
 def lambda_extrema(w: Channel, p_in: Distribution, rate: float,
                    cfg: Optional[SolverConfig] = None) -> tuple[float, float]:
-    """Extremes of the likelihood-ratio level over channel-compatible types."""
+    """Extremes of the likelihood-ratio level over channel-compatible types:
+    the polished grid minimum and the closed-form maximum
+    ``[sum_x P(x) max_y i(x, y) - R]_+`` (``Problem.level_max``)."""
     problem = Problem(w, p_in, rate, cfg)
     lo = problem.level_extremum(minimize=True)
-    hi = problem.level_extremum(minimize=False)
-    if lo is None or hi is None:
+    if lo is None:
         raise ValueError("channel admits no type with a finite level")
-    return lo.value, hi.value
+    return lo.value, problem.level_max()
 
 
 def tau_flat(w: Channel, p_in: Distribution, rate: float,

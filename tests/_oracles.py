@@ -405,3 +405,43 @@ def md_tilt_dual(rows, p_in, t):
     found = minimize_scalar(lambda s: -dual(s), bounds=(0.0, 2 * top),
                             method="bounded", options={"xatol": 1e-13})
     return max(dual(float(found.x)), dual(0.0))
+
+
+def fa_tilt_dual(rows, p_in, t):
+    """sup_{s >= 0} s t - sum_x P(x) ln sum_y P_Y(y)^(1-s) W(y|x)^s, with
+    the inner sums over the support of W(.|x), maximized by bounded Brent:
+    the least D(V || P_Y | P) over conditionals V inside the support of W
+    whose mean of i = ln W / P_Y is at least t. ``inf`` when
+    t > sum_x P(x) max_y i(x, y), where no type reaches t. At t equal to
+    that edge the supremum is only approached as s grows without bound, so
+    callers check the edge against its limit instead."""
+    from scipy.optimize import minimize_scalar
+    from scipy.special import logsumexp
+
+    w = np.asarray(rows, dtype=float)
+    p = np.asarray(p_in, dtype=float)
+    p_y = p @ w
+    live = [x for x in range(len(p)) if p[x] > 0]
+    supports = [w[x] > 0 for x in live]
+    log_w = [np.log(w[x][supp]) for x, supp in zip(live, supports)]
+    log_p = [np.log(p_y[supp]) for supp in supports]
+    i_max = sum(p[x] * float(np.max(lw - lp))
+                for x, lw, lp in zip(live, log_w, log_p))
+    if t > i_max:
+        return math.inf
+
+    def dual(s):
+        return s * t - sum(p[x] * float(logsumexp((1 - s) * lp + s * lw))
+                           for x, lw, lp in zip(live, log_w, log_p))
+
+    # the dual is concave: once it stops growing from s to 2s, the
+    # maximizer lies in [s / 2, 2s] (in [0, 2] for s = 1). Near the edge the
+    # maximizer is large and the dual flat, and a tight bracket keeps the
+    # search accurate there
+    top = 1.0
+    while top < 2.0 ** 20 and dual(2 * top) > dual(top):
+        top *= 2
+    found = minimize_scalar(lambda s: -dual(s),
+                            bounds=(0.0 if top == 1 else top / 2, 2 * top),
+                            method="bounded", options={"xatol": 1e-13})
+    return max(dual(float(found.x)), dual(0.0))

@@ -123,7 +123,8 @@ def test_bundle_cache_is_thread_safe_and_byte_bounded(
 
     def solve(task):
         w, tau, cfg = task
-        fa = fa_exponent(w, uniform2, abs(tau), 0.1, cfg)
+        # the false-alarm tilt at tau > 0 builds no bundle
+        fa = fa_exponent(w, uniform2, -abs(tau), 0.1, cfg)
         md = md_exponent(w, uniform2, tau, 0.1, cfg)
         return [(r.value.hex(), r.branch,
                  tuple(map(float.hex, r.minimizer.conditional.ravel())))
@@ -150,12 +151,13 @@ def test_bundle_cache_is_thread_safe_and_byte_bounded(
 
 def test_bundle_cache_skips_a_list_above_the_bound(
         zchannel, bsc, uniform2, bundles, monkeypatch):
-    fa_exponent(zchannel, uniform2, 0.1, 0.1)
+    fa_exponent(zchannel, uniform2, -0.1, 0.1)
     small = sum(_cached_sizes(bundles))
+    assert small > 0
     # the BSC grid is far larger than the pruned Z-channel grid
     monkeypatch.setattr(bundles, "max_bytes", small)
-    want = fa_exponent(bsc, uniform2, 0.1, 0.1).value
-    assert fa_exponent(bsc, uniform2, 0.1, 0.1).value == want
+    want = fa_exponent(bsc, uniform2, -0.1, 0.1).value
+    assert fa_exponent(bsc, uniform2, -0.1, 0.1).value == want
     assert sum(_cached_sizes(bundles)) == small
 
 
@@ -190,15 +192,17 @@ def _count_calls(monkeypatch, owner, name, calls):
 @pytest.mark.parametrize("tau", [-0.06, 0.1])
 def test_fa_builds_one_bundle_per_stage_for_both_branches(zchannel, uniform2,
                                                           monkeypatch, tau):
-    # both branches are feasible at tau = -0.06, only the sparse one at 0.1;
-    # either way the seeds of both form one bundle and each polish round
-    # one more, once the level extrema and the base grid are cached
+    # both branches are feasible at tau = -0.06: the seeds of both form one
+    # bundle and each polish round one more, once the level extrema and the
+    # base grid are cached. At tau = 0.1 the false-alarm tilt measures only
+    # its own minimizer and builds no bundle at all
     problem = Problem(zchannel, uniform2, 0.05)
     want = problem.fa(tau)
     calls = {"__init__": 0}
     _count_calls(monkeypatch, exponents._Bundle, "__init__", calls)
     got = problem.fa(tau)
-    assert calls["__init__"] == 1 + problem.cfg.refinement_rounds
+    assert calls["__init__"] == (1 + problem.cfg.refinement_rounds
+                                 if tau < 0 else 0)
     assert (got.value, got.branch) == (want.value, want.branch)
 
 
