@@ -26,13 +26,21 @@ class Memo:
         self._items: OrderedDict[tuple, tuple] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key: tuple, build, keep: bool = True) -> tuple:
-        if not keep:
-            return build()
+    def find(self, key: tuple):
+        """The value stored under ``key``, now the most recently used, or
+        None."""
         with self._lock:
             if key in self._items:
                 self._items.move_to_end(key)
                 return self._items[key]
+        return None
+
+    def get(self, key: tuple, build, keep: bool = True) -> tuple:
+        if not keep:
+            return build()
+        value = self.find(key)
+        if value is not None:
+            return value
         value = build()
         size = _nbytes(value)
         with self._lock:

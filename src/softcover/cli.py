@@ -202,14 +202,24 @@ def write_manifest(path: str, manifest: dict) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cfg_from_args(args, w: Channel) -> SolverConfig:
-    base = default_config(w)
+def _cfg_from_args(args, w: Channel) -> SolverConfig | None:
+    """The solver configuration of the flags, the defaults filling the
+    ones not given: ``default_config(w)`` for the grid, ``SolverConfig``'s
+    own for the rest. None when ``--grid`` is not given and the channel has
+    more free dimensions than ``default_config`` serves: the tilts at
+    ``tau > 0`` need no grid, and a grid solve then raises when reached."""
+    grid = args.grid
+    if grid is None:
+        try:
+            grid = default_config(w).grid_points_per_dim
+        except ValueError:
+            return None
+    defaults = SolverConfig()
     return SolverConfig(
-        grid_points_per_dim=(base.grid_points_per_dim if args.grid is None
-                             else args.grid),
-        refinement_rounds=(base.refinement_rounds if args.refine is None
+        grid_points_per_dim=grid,
+        refinement_rounds=(defaults.refinement_rounds if args.refine is None
                            else args.refine),
-        refinement_shrink=(base.refinement_shrink if args.shrink is None
+        refinement_shrink=(defaults.refinement_shrink if args.shrink is None
                            else args.shrink),
     )
 

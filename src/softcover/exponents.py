@@ -26,18 +26,25 @@ minimum, the per-branch level extrema and the interference level.
 The generic solver lays a dense grid over the free conditional coordinates
 (one simplex per input symbol), splits the non-smooth clipped rate term into
 the bulk branch (``I_Q <= R``) and the sparse branch (``I_Q >= R``), and
-polishes each branch's incumbent with successively shrunken boxes. The two
-branches are solved in lockstep: every block of candidates (the seeds of
-both, each base-grid block, each polish round's boxes around both
-incumbents) is measured, masked and gated once, and each branch then takes
-the argmin of its own part under its own ``I_Q`` test.
+polishes each branch's incumbent with successively shrunken boxes. Every
+solve runs several tasks in lockstep, each a (objective, branch) pair with
+its own seeds and its own boxes: the two branches of an exponent, or the
+five level extrema of a rate (the minimum and the maximum of each branch and
+the minimum over both). Every block of candidates (the seeds of all tasks,
+each base-grid block, each polish round's boxes around all incumbents) is
+measured, masked and gated once, and each task then takes the argmin of its
+own objective on its own part under its own ``I_Q`` test. A polish round
+builds its candidates in one pass: one grid call for all boxes, one filter
+over all of them and one product per incumbent.
 ``Problem`` holds one (channel, input, rate, configuration) and solves both
 exponents, the level extrema and the interference level with one masked
 argmin (``_scan``) and one shrinking-box loop (``_polish``); the public
 functions build one per call. The base-grid measure arrays do not depend on
 the rate or the threshold; they are kept per channel, input and grid in
 ``_BUNDLES``, a ``_memo.Memo`` (the package's one locked, byte-bounded LRU)
-of at most 256 MiB.
+of at most 256 MiB. The level extrema are kept per channel, input, rate and
+configuration in ``_EXTREMA``, another ``Memo`` of at most 64 KiB, so that
+the false-alarm and the missed-detection solve at one rate share them.
 Joint types that violate the channel support carry an infinite conditional
 divergence and a level of ``-inf``, so they are never feasible; that is what
 produces the strictly positive false-alarm floor on singular channels such as
@@ -50,6 +57,7 @@ improvement.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,9 +72,7 @@ from .measures import (
     Channel,
     Distribution,
     JointType,
-    cond_entropy_vec,
     cond_kl_vec,
-    entropy_vec,
     kl_vec,
     mix_vec,
     mutual_information_vec,
@@ -151,6 +157,76 @@ class _RatedBundle(NamedTuple):
     lam: np.ndarray
 
 
+class _Law(NamedTuple):
+    """What ``_measures`` needs of a channel and an input law: the input
+    law, the mask of the inputs with mass, and the reference rows of the
+    divergences, the channel's rows and then ``P_Y``, with their logarithms
+    (``-inf`` at zeros) and the mask of their zeros."""
+
+    p_in: np.ndarray
+    live: np.ndarray
+    log_ref: np.ndarray
+    null_ref: np.ndarray
+
+
+def _law(w_rows: np.ndarray, p_in: np.ndarray, p_out: np.ndarray) -> _Law:
+    ref = np.vstack([w_rows, p_out])
+    with np.errstate(divide="ignore"):
+        log_ref = np.log(ref)
+    return _Law(p_in, p_in > SUPPORT_ATOL, log_ref, ref <= SUPPORT_ATOL)
+
+
+# The kernels below give the floats of the ones in ``measures`` (``mix_vec``,
+# ``kl_vec``, ``cond_kl_vec``, ``entropy_vec``, ``cond_entropy_vec``) with
+# fewer numpy calls: numpy sums fewer than eight terms one by one onto 0.0,
+# and slices do the same without the per-row cost of a reduction over a
+# short axis.
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1)``, the same floats."""
+    if a.shape[-1] >= 8:
+        return a.sum(axis=-1)
+    total = 0.0 + a[..., 0]
+    for j in range(1, a.shape[-1]):
+        total = total + a[..., j]
+    return total
+
+
+def _any_last(a: np.ndarray) -> np.ndarray:
+    """``a.any(axis=-1)`` of a boolean array."""
+    return functools.reduce(np.logical_or, (a[..., j]
+                                            for j in range(a.shape[-1])))
+
+
+def _mix(cond: np.ndarray, p_in: np.ndarray) -> np.ndarray:
+    """``mix_vec(cond, p_in)``, the same floats: its einsum too adds the
+    inputs' terms one by one onto 0.0."""
+    q_y = 0.0 + cond[..., 0, :] * p_in[0]
+    for x in range(1, cond.shape[-2]):
+        q_y = q_y + cond[..., x, :] * p_in[x]
+    return q_y
+
+
+def _measures(cond: np.ndarray, q_y: np.ndarray, law: _Law
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``D(q_y || P_Y)``, ``D_c`` and ``I_Q`` of the conditionals ``cond``
+    with output marginal ``q_y`` (of the same leading shape), from one
+    logarithm of the rows of both: the divergence and the entropy of every
+    row come out of one pass."""
+    rows = np.concatenate([cond, q_y[..., None, :]], axis=-2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_r = np.log(rows)
+        pos = rows > SUPPORT_ATOL
+        kl = np.maximum(_sum_last(np.where(
+            pos, rows * (log_r - law.log_ref), 0.0)), 0.0)
+        kl = np.where(_any_last(pos & law.null_ref), np.inf, kl)
+        ent = -_sum_last(np.where(pos, rows * log_r, 0.0))
+        d_c = _sum_last(np.where(law.live, kl[..., :-1] * law.p_in, 0.0))
+    i_q = np.maximum(
+        ent[..., -1] - np.einsum("...x,x->...", ent[..., :-1], law.p_in), 0.0)
+    return kl[..., -1], d_c, i_q
+
+
 class _Bundle:
     """Measure arrays for a block of candidate conditionals. Everything here
     is threshold- and rate-independent, so grid bundles can be cached per
@@ -158,13 +234,10 @@ class _Bundle:
 
     __slots__ = ("cond", "q_y", "d_m", "d_c", "i_q")
 
-    def __init__(self, cond, w_rows, p_in, p_out_probs):
+    def __init__(self, cond: np.ndarray, law: _Law):
         self.cond = cond
-        self.q_y = mix_vec(cond, p_in)
-        self.d_m = kl_vec(self.q_y, p_out_probs)
-        self.d_c = cond_kl_vec(cond, w_rows, p_in)
-        self.i_q = np.maximum(
-            entropy_vec(self.q_y) - cond_entropy_vec(cond, p_in), 0.0)
+        self.q_y = _mix(cond, law.p_in)
+        self.d_m, self.d_c, self.i_q = _measures(cond, self.q_y, law)
 
     @property
     def nbytes(self) -> int:
@@ -178,9 +251,11 @@ class _Bundle:
                             self.i_q, lam)
 
 
-def _row_grid(ny: int, g: int, lo=None, hi=None) -> list[np.ndarray]:
-    """Candidate stochastic rows, one array per box: coordinates 1..ny-1 are
-    gridded over the box's per-coordinate bounds (rows of ``lo`` and
+def _row_grid(ny: int, g: int, lo=None, hi=None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate stochastic rows of every box, shape ``(boxes, g ** (ny -
+    1), ny)``, and the mask of those on the simplex: coordinates 1..ny-1
+    are gridded over the box's per-coordinate bounds (rows of ``lo`` and
     ``hi``, by default the one unit box) with the first coordinate slowest,
     and coordinate 0 absorbs the remainder."""
     lo = np.zeros((1, ny - 1)) if lo is None else lo
@@ -191,44 +266,53 @@ def _row_grid(ny: int, g: int, lo=None, hi=None) -> list[np.ndarray]:
     axes[..., -1] = hi
     idx = np.indices((g,) * (ny - 1)).reshape(ny - 1, -1)
     free = axes[:, np.arange(ny - 1)[:, None], idx].transpose(0, 2, 1)
-    head = 1.0 - free.sum(axis=-1)
+    head = 1.0 - _sum_last(free)
     rows = np.concatenate([np.clip(head, 0.0, 1.0)[..., None], free], axis=-1)
-    return [box[keep] for box, keep in zip(rows, head >= -_SIMPLEX_TOL)]
+    return rows, head >= -_SIMPLEX_TOL
 
 
-def _in_support(rows: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """The candidate rows with no mass above ``SUPPORT_ATOL`` outside
-    ``support``, in their original order."""
-    return rows[~(rows[:, ~support] > SUPPORT_ATOL).any(axis=1)]
+def _kept(rows: np.ndarray, keep, outside: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """One filter over the candidate rows of several products: ``rows``
+    broadcasts to ``(products, inputs, n, ny)``, ``keep`` to its first three
+    axes, and ``outside[x]`` marks the outputs input ``x`` may not put mass
+    above ``SUPPORT_ATOL`` on. Returns the kept rows end to end in their
+    order (product, then input, then row) and their counts per product and
+    input, the arguments of ``_joint_chunks``."""
+    keep = keep & ~_any_last((rows > SUPPORT_ATOL) & outside[:, None, :])
+    rows = np.broadcast_to(rows, keep.shape + rows.shape[-1:])
+    return rows[keep], keep.sum(axis=-1)
 
 
-def _joint_chunks(products: Sequence[Optional[Sequence[np.ndarray]]]
+def _joint_chunks(rows: np.ndarray, counts: np.ndarray
                   ) -> Iterator[tuple[np.ndarray, list[tuple[int, int, int]]]]:
     """Cartesian products of per-input row candidates, each in row-major
     order (first input slowest), laid end to end and yielded in blocks of at
-    most ``_CHUNK_ROWS`` rows. ``products`` holds one list of per-input rows
-    per incumbent, or None for an incumbent with no candidates; each block
-    comes with its parts ``(k, lo, hi)``: rows ``lo:hi`` belong to product
-    ``k``."""
-    sizes = [0 if rows is None else math.prod(len(r) for r in rows)
-             for rows in products]
+    most ``_CHUNK_ROWS`` rows. ``rows`` and ``counts`` are as ``_kept``
+    returns them: product ``k`` takes ``counts[k, x]`` rows for input ``x``,
+    and has no candidates when one of them is 0. Each block comes with its
+    parts ``(k, lo, hi)``: rows ``lo:hi`` belong to product ``k``."""
+    starts = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    # strides[k, x]: how many candidates of product k share one row of x
+    strides = np.ones_like(counts)
+    strides[:, :-1] = np.cumprod(counts[:, :0:-1], axis=1)[:, ::-1]
+    sizes = [math.prod(c) for c in counts.tolist()]
     ends = list(itertools.accumulate(sizes))
+    bounds = np.array(ends)
+    begins = bounds - sizes
     for start in range(0, ends[-1], _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, ends[-1])
-        parts, pieces = [], []
-        for k, (rows, size, end) in enumerate(zip(products, sizes, ends)):
-            begin = end - size
-            lo, hi = max(begin, start), min(end, stop)
-            if lo >= hi:
-                continue
-            parts.append((k, lo - start, hi - start))
-            rem = np.arange(lo - begin, hi - begin)
-            cond = np.empty((rem.size, len(rows), rows[0].shape[1]))
-            for x in range(len(rows) - 1, -1, -1):
-                cond[:, x, :] = rows[x][rem % len(rows[x])]
-                rem = rem // len(rows[x])
-            pieces.append(cond)
-        yield np.concatenate(pieces) if len(pieces) > 1 else pieces[0], parts
+        parts = [(k, max(end - size, start) - start, min(end, stop) - start)
+                 for k, (size, end) in enumerate(zip(sizes, ends))
+                 if max(end - size, start) < min(end, stop)]
+        at = np.arange(start, stop)
+        # the product of each candidate; take() gathers far faster than
+        # fancy indexing on arrays this small
+        k = bounds.searchsorted(at, side="right")
+        local = (at - begins.take(k))[:, None]
+        index = (local // strides.take(k, axis=0) % counts.take(k, axis=0)
+                 + starts.take(k, axis=0))
+        yield rows.take(index, axis=0), parts
 
 
 @dataclass
@@ -249,32 +333,38 @@ def _refine_points(ny: int, g: int) -> int:
     return min(g, per_row)
 
 
-def _masked(block, objective, feasible) -> np.ndarray:
-    """The objective on feasible candidates; +inf elsewhere and for NaN."""
-    with np.errstate(invalid="ignore"):
-        masked = np.where(feasible(block), objective(block), np.inf)
+def _masked(values: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    """``values`` on the ``feasible`` candidates; +inf elsewhere and for
+    NaN."""
+    masked = np.where(feasible, values, np.inf)
     return np.where(np.isnan(masked), np.inf, masked)
 
 
-def _scan(blocks, objective, feasible, bests: list[Optional[_Incumbent]],
-          narrow=None) -> list[Optional[_Incumbent]]:
+def _scan(blocks, objectives: Sequence, feasible,
+          bests: list[Optional[_Incumbent]], narrow=None
+          ) -> list[Optional[_Incumbent]]:
     """Masked argmin over candidate blocks for several incumbents at once.
 
     ``blocks`` yields ``(block, parts)``: the block is anything with a
     ``cond`` array, and a part ``(k, lo, hi)`` hands its candidates
-    ``lo:hi`` to incumbent ``k``. The objective and ``feasible`` are
-    evaluated once per block; ``narrow(block, k, lo, hi)``, if given,
-    returns a further mask for the part of incumbent ``k``, or None. Per
-    incumbent, blocks are scanned in order: the first candidate wins a tie,
-    and the incumbent is replaced only on a strict improvement."""
+    ``lo:hi`` to incumbent ``k``, which minimizes ``objectives[k]``.
+    ``feasible`` and each objective with a part in the block are evaluated
+    once per block; ``narrow(block, k, lo, hi)``, if given, returns a
+    further mask for the part of incumbent ``k``, or None. Per incumbent,
+    blocks are scanned in order: the first candidate wins a tie, and the
+    incumbent is replaced only on a strict improvement."""
     bests = list(bests)
     for block, parts in blocks:
-        masked = _masked(block, objective, feasible)
+        with np.errstate(invalid="ignore"):
+            mask = feasible(block)
+            masked = {objective: _masked(objective(block), mask)
+                      for objective in dict.fromkeys(
+                          objectives[k] for k, _, _ in parts)}
         for k, lo, hi in parts:
-            part = masked[lo:hi]
-            mask = None if narrow is None else narrow(block, k, lo, hi)
-            if mask is not None:
-                part = np.where(mask, part, np.inf)
+            part = masked[objectives[k]][lo:hi]
+            keep = None if narrow is None else narrow(block, k, lo, hi)
+            if keep is not None:
+                part = np.where(keep, part, np.inf)
             j = int(np.argmin(part))
             v = float(part[j])
             if math.isfinite(v) and (bests[k] is None or v < bests[k].value):
@@ -283,37 +373,74 @@ def _scan(blocks, objective, feasible, bests: list[Optional[_Incumbent]],
 
 
 def _polish(bests: list[Optional[_Incumbent]], free_rows: int, points: int,
-            evaluate, cfg: SolverConfig) -> list[Optional[_Incumbent]]:
+            evaluate, cfg: SolverConfig, outside: np.ndarray
+            ) -> list[Optional[_Incumbent]]:
     """Shrinking-box polish of several incumbents in lockstep; None entries
     are left as they are.
 
     Round ``level`` grids a box of width ``refinement_shrink ** level``,
     clipped to [0, 1], around each of the first ``free_rows`` rows of every
     incumbent, all boxes in one ``_row_grid`` call with ``points`` samples
-    per free coordinate. It lists each incumbent's own row first, so that it
-    wins ties, and passes the row lists (per incumbent one list per input,
-    or None) to ``evaluate(row_lists, bests)``, which returns the new
-    incumbents.
+    per free coordinate. Each box lists its incumbent's own row first and
+    drops the grid rows equal to it, so that the incumbent wins ties; one
+    ``_kept`` pass over all boxes drops the rows off the simplex and those
+    with mass on ``outside``, and ``evaluate(rows, counts, bests)``, given
+    the survivors with one product per incumbent (none for a None entry),
+    returns the new incumbents.
     """
     live = [k for k, best in enumerate(bests) if best is not None]
     if not live:
         return bests
+    counts = np.zeros((len(bests), free_rows), dtype=np.intp)
     for level in range(1, cfg.refinement_rounds + 1):
         width = cfg.refinement_shrink ** level
-        rows = np.concatenate([bests[k].cond[:free_rows] for k in live])
-        boxes = _row_grid(rows.shape[1], points,
-                          np.clip(rows[:, 1:] - width / 2, 0.0, 1.0),
-                          np.clip(rows[:, 1:] + width / 2, 0.0, 1.0))
-        lists = iter([np.vstack([row[None, :], box])
-                      for row, box in zip(rows, boxes)])
-        bests = evaluate([None if best is None
-                          else list(itertools.islice(lists, free_rows))
-                          for best in bests], bests)
+        own = np.concatenate([bests[k].cond[:free_rows] for k in live])
+        boxes, keep = _row_grid(own.shape[1], points,
+                                np.clip(own[:, 1:] - width / 2, 0.0, 1.0),
+                                np.clip(own[:, 1:] + width / 2, 0.0, 1.0))
+        rows = np.concatenate([own[:, None], boxes], axis=1)
+        keep = np.concatenate([np.ones((len(own), 1), dtype=bool),
+                               keep & _any_last(boxes != own[:, None])],
+                              axis=1)
+        shape = (len(live), free_rows, -1)
+        rows, counts[live] = _kept(rows.reshape(shape + own.shape[1:]),
+                                   keep.reshape(shape), outside)
+        bests = evaluate(rows, counts, bests)
     return bests
 
 
 def _finite_level(b):
     return np.isfinite(b.lam)
+
+
+def _d_c(b):
+    return b.d_c
+
+
+def _level(b):
+    return b.lam
+
+
+def _negated_level(b):
+    return -b.lam
+
+
+# the level extrema solved together per rate: the minimum and the maximum
+# of each branch and the minimum over both
+_EXTREMA_KEYS = ((True, None), (True, BULK), (True, SPARSE), (False, BULK),
+                 (False, SPARSE))
+
+
+class _Extrema(NamedTuple):
+    """The level extrema of one (channel, input, rate, configuration) in the
+    order of ``_EXTREMA_KEYS``, read-only: the values, NaN where no type has
+    a finite level, and the extremal conditionals (the channel's there)."""
+
+    values: np.ndarray
+    conds: np.ndarray
+
+
+_EXTREMA = Memo(1 << 16)  # 64 KiB of level extrema, a few hundred rates
 
 
 def _tilted(log_base: np.ndarray, info: np.ndarray, s: float):
@@ -399,38 +526,44 @@ def _fiber_order(p_in: np.ndarray) -> np.ndarray:
     return np.append(np.delete(np.arange(p_in.size), pivot), pivot)
 
 
-def _fiber(first_rows: np.ndarray, q_out: np.ndarray, w: Channel,
-           p_in: np.ndarray, rate: float) -> _Fiber:
+def _fiber(first_rows: np.ndarray, q_out: np.ndarray, law: _Law,
+           rate: float) -> _Fiber:
     """Fiber candidates with the row of the last input with positive mass
     derived from the output-marginal constraint; feasible where that row is
     stochastic, the conditional divergence finite and the mutual
     information at most ``rate``. ``first_rows`` are the rows of the other
-    inputs, and the rows of ``cond`` are in ``_fiber_order``. ``q_out`` may
-    carry leading axes (``(..., 1, ny)`` against ``(rows, X - 1, ny)`` free
-    rows) to evaluate several fibers at once."""
-    order = _fiber_order(p_in)
-    p_in, w_rows = p_in[order], w.rows[order]
-    partial = np.einsum("...xy,x->...y", first_rows, p_in[:-1])
-    last = (q_out - partial) / p_in[-1]
-    valid = (last >= -_SIMPLEX_TOL).all(axis=-1)
+    inputs; the rows of ``cond`` and of ``law`` are in ``_fiber_order``.
+    ``q_out`` may carry leading axes (``(..., 1, ny)`` against ``(rows, X -
+    1, ny)`` free rows) to evaluate several fibers at once."""
+    last = (q_out - _mix(first_rows, law.p_in[:-1])) / law.p_in[-1]
+    valid = ~_any_last(last < -_SIMPLEX_TOL)
     last = np.clip(last, 0.0, 1.0)
     first_rows = np.broadcast_to(first_rows,
                                  last.shape[:-1] + first_rows.shape[-2:])
     cond = np.concatenate([first_rows, last[..., None, :]], axis=-2)
-    d_c = cond_kl_vec(cond, w_rows, p_in)
-    i_q = np.maximum(entropy_vec(q_out) - cond_entropy_vec(cond, p_in), 0.0)
+    _, d_c, i_q = _measures(cond, np.broadcast_to(q_out, last.shape), law)
     return _Fiber(cond, d_c,
                   valid & np.isfinite(d_c) & (i_q <= rate + _BRANCH_TOL))
+
+
+def _fiber_rows(rows: np.ndarray, counts: np.ndarray) -> Iterator[np.ndarray]:
+    """Blocks of free fiber rows: the product of the row candidates of every
+    input but the one whose row the output marginal determines (see
+    ``_fiber``), in ``_fiber_order``."""
+    return (cond for cond, _ in _joint_chunks(rows, counts))
 
 
 class Problem:
     """Both exponent problems for one channel, input distribution, rate and
     solver configuration.
 
-    The output marginal is derived once. The per-branch level extrema, which
-    seed the exponent solves, and the memo of the interference-ceiling gate
-    do not depend on the threshold; they are computed on first use and
-    kept, so a threshold sweep should build one instance per rate.
+    The output marginal is derived once. The level extrema, which seed the
+    exponent solves, do not depend on the threshold: the first request
+    solves all of them at once and keeps them in ``_EXTREMA`` per channel,
+    input, rate and configuration, which every instance shares, so
+    ``fa_exponent`` and ``md_exponent`` at one rate solve them once between
+    them. The memo of the interference-ceiling gate is the instance's own,
+    so a threshold sweep should still build one instance per rate.
     """
 
     def __init__(self, w: Channel, p_in: Distribution, rate: float,
@@ -442,7 +575,6 @@ class Problem:
         self.rate = rate
         self._cfg = cfg
         self.p_out = output_marginal(p_in, w)
-        self._extrema: dict[tuple, Optional[_Incumbent]] = {}
 
     @cached_property
     def cfg(self) -> SolverConfig:
@@ -466,60 +598,71 @@ class Problem:
             info = np.where(support, log_w - log_p_y, 0.0)
         return _Info(live, p[live], support, log_w, log_p_y, info)
 
+    @cached_property
+    def _law(self) -> _Law:
+        return _law(self.w.rows, self.p_in.probs, self.p_out.probs)
+
+    @cached_property
+    def _fiber_law(self) -> _Law:
+        """``_law`` with the inputs in ``_fiber_order``."""
+        order = _fiber_order(self.p_in.probs)
+        return _law(self.w.rows[order], self.p_in.probs[order],
+                    self.p_out.probs)
+
     def _rated(self, cond: np.ndarray) -> _RatedBundle:
-        return _Bundle(cond, self.w.rows, self.p_in.probs,
-                       self.p_out.probs).at_rate(self.rate)
+        return _Bundle(cond, self._law).at_rate(self.rate)
 
-    def _pruned(self, row_lists: Sequence[np.ndarray],
-                inputs: Optional[Sequence[int]] = None) -> list[np.ndarray]:
-        """Row lists for ``inputs`` (by default the first ``len(row_lists)``
-        inputs) without the rows that make ``D_c`` infinite: rows with mass
-        outside the support of ``W(.|x)`` for an input with positive
-        probability. Every scan already rejects those candidates, and the
-        survivors keep their order, so each scan picks the same candidate
-        as on the full lists."""
-        if inputs is None:
-            inputs = range(len(row_lists))
-        return [rows if self.p_in.probs[x] <= SUPPORT_ATOL
-                else _in_support(rows, self.w.support_mask[x])
-                for rows, x in zip(row_lists, inputs)]
+    def _outside(self, inputs: np.ndarray) -> np.ndarray:
+        """Per input of ``inputs``, the outputs off the support of
+        ``W(.|x)`` when ``x`` has positive probability, none otherwise: a
+        candidate row with mass there makes ``D_c`` infinite. Every scan
+        rejects those candidates, and ``_kept`` keeps the order of the
+        others, so each scan picks the same candidate as on the full
+        lists."""
+        return (~self.w.support_mask[inputs]
+                & (self.p_in.probs[inputs] > SUPPORT_ATOL)[:, None])
 
-    def _fiber_rows(self, row_lists: Sequence[np.ndarray]
-                    ) -> Iterator[np.ndarray]:
-        """Free fiber rows from row lists for every input but the one whose
-        row the output marginal determines (see ``_fiber``)."""
-        chunks = _joint_chunks(
-            [self._pruned(row_lists, _fiber_order(self.p_in.probs)[:-1])])
-        return (cond for cond, _ in chunks)
+    def _grid_rows(self, inputs: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """The base-grid rows of every input in ``inputs``, one product, as
+        ``_kept`` returns them."""
+        rows, keep = _row_grid(self.w.num_outputs,
+                               self.cfg.grid_points_per_dim)
+        return _kept(rows[:, None], keep[:, None], self._outside(inputs))
 
     def _base(self):
         """Measure bundles of the base grid, kept in ``_BUNDLES`` per
         channel, input and grid when at most ``_CACHE_CANDIDATE_LIMIT``
         candidates survive pruning, otherwise streamed."""
         w, g = self.w, self.cfg.grid_points_per_dim
-        row_lists = self._pruned([_row_grid(w.num_outputs, g)[0]]
-                                 * w.num_inputs)
-        bundles = (_Bundle(cond, w.rows, self.p_in.probs, self.p_out.probs)
-                   for cond, _ in _joint_chunks([row_lists]))
-        if math.prod(len(r) for r in row_lists) > _CACHE_CANDIDATE_LIMIT:
-            return bundles
         key = (w.rows.tobytes(), self.p_in.probs.tobytes(), g)
+        cached = _BUNDLES.find(key)
+        if cached is not None:
+            return cached
+        rows, counts = self._grid_rows(np.arange(w.num_inputs))
+        bundles = (_Bundle(cond, self._law)
+                   for cond, _ in _joint_chunks(rows, counts))
+        if math.prod(counts[0].tolist()) > _CACHE_CANDIDATE_LIMIT:
+            return bundles
         return _BUNDLES.get(key, lambda: tuple(bundles))
 
-    def _solve(self, objective, feasible, seeds: dict
+    def _solve(self, feasible, tasks: Sequence[tuple]
                ) -> list[Optional[_Incumbent]]:
-        """Minimize ``objective`` over the ``feasible`` candidates of every
-        branch that ``seeds`` maps to its seed conditionals (``BULK``,
-        ``SPARSE``, or None for no mutual-information test), in lockstep.
+        """Solve every task ``(objective, branch, seeds)`` in lockstep: the
+        minimum of ``objective`` over the ``feasible`` candidates of
+        ``branch`` (``BULK``, ``SPARSE``, or None for no mutual-information
+        test), seeded with the conditionals ``seeds``.
 
-        The seeds of all branches form one bundle, scanned first so that a
-        seed wins all ties; then come the base grid and the polish rounds.
-        Each block's objective and ``feasible`` are evaluated once for every
-        branch, and each branch applies only its own ``I_Q`` test to its own
-        part. Returns one incumbent per branch, None where nothing is
-        feasible; such a branch is not polished.
+        The seeds of all tasks form one bundle, scanned first so that a
+        seed wins all ties; then come the base grid and the polish rounds,
+        one box per task and input row. Each block's ``feasible`` and each
+        distinct objective are evaluated once for every task, and each task
+        applies only its own ``I_Q`` test to its own part. Returns one
+        incumbent per task, None where nothing is feasible; such a task is
+        not polished.
         """
-        branches = list(seeds)
+        objectives = [objective for objective, _, _ in tasks]
+        branches = [branch for _, branch, _ in tasks]
         rate = self.rate
 
         def in_branch(block, k, lo, hi):
@@ -529,45 +672,69 @@ class Problem:
                 return block.i_q[lo:hi] >= rate - _BRANCH_TOL
             return None
 
-        sizes = [len(s) for s in seeds.values()]
-        seeded = [(self._rated(np.stack(sum(seeds.values(), []))),
+        sizes = [len(seeds) for _, _, seeds in tasks]
+        seeded = [(self._rated(np.stack([s for _, _, seeds in tasks
+                                         for s in seeds])),
                    [(k, end - size, end) for k, (size, end) in
                     enumerate(zip(sizes, itertools.accumulate(sizes)))])]
         base = (bundle.at_rate(rate) for bundle in self._base())
         blocks = itertools.chain(
-            seeded, ((b, [(k, 0, len(b.cond)) for k in range(len(sizes))])
+            seeded, ((b, [(k, 0, len(b.cond)) for k in range(len(tasks))])
                      for b in base))
-        bests = _scan(blocks, objective, feasible, [None] * len(sizes),
+        bests = _scan(blocks, objectives, feasible, [None] * len(tasks),
                       in_branch)
 
-        def evaluate(row_lists, bests):
-            chunks = _joint_chunks([None if rows is None else self._pruned(rows)
-                                    for rows in row_lists])
-            return _scan(((self._rated(cond), parts) for cond, parts in chunks),
-                         objective, feasible, bests, in_branch)
+        def evaluate(rows, counts, bests):
+            return _scan(((self._rated(cond), parts)
+                          for cond, parts in _joint_chunks(rows, counts)),
+                         objectives, feasible, bests, in_branch)
 
+        inputs = np.arange(self.w.num_inputs)
         points = _refine_points(self.w.num_outputs,
                                 self.cfg.grid_points_per_dim)
-        return _polish(bests, self.w.num_inputs, points, evaluate, self.cfg)
+        return _polish(bests, inputs.size, points, evaluate, self.cfg,
+                       self._outside(inputs))
+
+    def _extrema(self) -> _Extrema:
+        """Every level extremum of ``_EXTREMA_KEYS``, from one lockstep
+        solve seeded with the channel, kept in ``_EXTREMA``."""
+        def solve():
+            found = self._solve(_finite_level, [
+                (_level if minimize else _negated_level, branch,
+                 [self.w.rows]) for minimize, branch in _EXTREMA_KEYS])
+            values = np.array([
+                math.nan if res is None else
+                res.value if minimize else -res.value
+                for (minimize, _), res in zip(_EXTREMA_KEYS, found)])
+            conds = np.array([self.w.rows if res is None else res.cond
+                              for res in found])
+            values.setflags(write=False)
+            conds.setflags(write=False)
+            return _Extrema(values, conds)
+
+        key = (self.w.rows.tobytes(), self.p_in.probs.tobytes(), self.rate,
+               self.cfg)
+        return _EXTREMA.get(key, solve)
 
     def level_extremum(self, minimize: bool, branch: Optional[str] = None
                        ) -> Optional[_Incumbent]:
         """Polished extremum of the level within one branch, or over both
-        when ``branch`` is None. Thin feasible slivers near a branch's level
-        extremum fall between base grid points, so each branch's exponent
-        solve is seeded with this point. Asking for one branch solves both
-        in lockstep and keeps both."""
-        key = (minimize, branch)
-        if key not in self._extrema:
-            sign = 1.0 if minimize else -1.0
-            group = (None,) if branch is None else (BULK, SPARSE)
-            found = self._solve(lambda b: sign * b.lam, _finite_level,
-                                {br: [self.w.rows] for br in group})
-            for br, res in zip(group, found):
-                if res is not None:
-                    res.value = sign * res.value
-                self._extrema[minimize, br] = res
-        return self._extrema[key]
+        when ``branch`` is None; None when no type has a finite level. Thin
+        feasible slivers near a branch's level extremum fall between base
+        grid points, so each branch's exponent solve is seeded with this
+        point. The first request solves every extremum of the rate at once
+        (``_extrema``); the maximum over both branches is the larger branch
+        maximum, the bulk one on a tie. The returned conditional is
+        read-only."""
+        if (minimize, branch) == (False, None):
+            found = [self.level_extremum(False, br) for br in (BULK, SPARSE)]
+            return max((res for res in found if res is not None),
+                       key=lambda res: res.value, default=None)
+        extrema = self._extrema()
+        i = _EXTREMA_KEYS.index((minimize, branch))
+        value = float(extrema.values[i])
+        return None if math.isnan(value) else _Incumbent(value,
+                                                         extrema.conds[i])
 
     def _seeds(self, minimize: bool, branch: str) -> list[np.ndarray]:
         extremum = self.level_extremum(minimize, branch)
@@ -612,8 +779,8 @@ class Problem:
             return np.isfinite(b.lam) & (b.lam >= tau)
 
         return self._result(*self._solve(
-            self._fa_cost, base,
-            {branch: self._seeds(False, branch) for branch in (BULK, SPARSE)}))
+            base, [(self._fa_cost, branch, self._seeds(False, branch))
+                   for branch in (BULK, SPARSE)]))
 
     def md(self, tau: float) -> ExponentResult:
         """Missed-detection exponent at threshold ``tau`` (see
@@ -637,12 +804,13 @@ class Problem:
             mask = np.isfinite(b.d_c) & (b.lam <= tau)
             if mask.any():
                 idx = np.flatnonzero(mask)
-                mask[idx] = self._gate.values(b.q_y[idx]) <= tau
+                q_y = b.q_y.take(idx, axis=0)
+                mask[idx] = self._gate.values(q_y) <= tau
             return mask
 
         return self._result(*self._solve(
-            lambda b: b.d_c, base,
-            {branch: self._seeds(True, branch) for branch in (BULK, SPARSE)}))
+            base, [(_d_c, branch, self._seeds(True, branch))
+                   for branch in (BULK, SPARSE)]))
 
     def _md_tilt(self, t: float) -> ExponentResult:
         """Minimum of ``D_c`` over the half-space ``E_V[i] <= t``.
@@ -708,20 +876,22 @@ class Problem:
         """Number of base-grid candidates with a finite level whose
         false-alarm cost is within ``atol`` of ``value`` (multiplicity of a
         tie-broken unconstrained minimum)."""
-        return sum(
-            int(np.count_nonzero(_masked(bundle.at_rate(self.rate),
-                                         self._fa_cost, _finite_level)
-                                 <= value + atol))
-            for bundle in self._base())
+        count = 0
+        for bundle in self._base():
+            b = bundle.at_rate(self.rate)
+            with np.errstate(invalid="ignore"):
+                masked = _masked(self._fa_cost(b), _finite_level(b))
+            count += int(np.count_nonzero(masked <= value + atol))
+        return count
 
     def _fiber_min(self, q_out: np.ndarray, first_rows, best=None
                    ) -> Optional[_Incumbent]:
         """Scan the fiber of ``q_out`` over blocks of free rows for the
         smallest feasible ``D_c``."""
-        fibers = (_fiber(fr, q_out, self.w, self.p_in.probs, self.rate)
+        fibers = (_fiber(fr, q_out, self._fiber_law, self.rate)
                   for fr in first_rows)
         return _scan(((f, [(0, 0, len(f.cond))]) for f in fibers),
-                     lambda f: f.d_c, lambda f: f.feasible, [best])[0]
+                     [_d_c], lambda f: f.feasible, [best])[0]
 
     def interference_level(self, q_out: np.ndarray) -> float:
         """Polished interference level of the output marginal ``q_out`` (see
@@ -729,17 +899,17 @@ class Problem:
         d_m = float(kl_vec(q_out, self.p_out.probs))
         if not math.isfinite(d_m):
             return -math.inf
-        ny, g = self.w.num_outputs, self.cfg.grid_points_per_dim
+        inputs = _fiber_order(self.p_in.probs)[:-1]
 
-        def evaluate(row_lists, bests):
-            return [self._fiber_min(q_out, self._fiber_rows(row_lists[0]),
+        def evaluate(rows, counts, bests):
+            return [self._fiber_min(q_out, _fiber_rows(rows, counts),
                                     bests[0])]
 
-        best = self._fiber_min(q_out, self._fiber_rows(
-            [_row_grid(ny, g)[0]] * (self.w.num_inputs - 1)))
+        best = self._fiber_min(q_out, _fiber_rows(*self._grid_rows(inputs)))
         if best is None:
             return -math.inf
-        best, = _polish([best], self.w.num_inputs - 1, g, evaluate, self.cfg)
+        best, = _polish([best], inputs.size, self.cfg.grid_points_per_dim,
+                        evaluate, self.cfg, self._outside(inputs))
         return d_m - best.value
 
 
@@ -819,34 +989,33 @@ class _CeilingGate:
     def __init__(self, problem: Problem):
         self.problem = problem
         self.memo: dict[bytes, float] = {}
-        w = problem.w
-        lists = [_row_grid(w.num_outputs, problem.cfg.grid_points_per_dim)[0]
-                 ] * (w.num_inputs - 1)
-        self.first_rows = np.concatenate(list(problem._fiber_rows(lists)),
-                                         axis=0)
+        self.first_rows = np.concatenate(list(_fiber_rows(
+            *problem._grid_rows(_fiber_order(problem.p_in.probs)[:-1]))))
 
     def values(self, q_y_block: np.ndarray) -> np.ndarray:
         rounded = np.round(q_y_block, _DELTA_QUANT)
         # one bytes key per rounded row
         keys = rounded.view(np.dtype((np.void, rounded.itemsize
                                       * rounded.shape[1]))).ravel().tolist()
-        unseen = {key: q for key, q in zip(keys, rounded)
+        # a row of each key missing from the memo
+        unseen = {key: i for i, key in enumerate(keys)
                   if key not in self.memo}
         if unseen:
             problem = self.problem
-            fresh = np.array(list(unseen.values()))
+            fresh = rounded.take(list(unseen.values()), axis=0)
             level = kl_vec(fresh, problem.p_out.probs)
             finite = np.flatnonzero(np.isfinite(level))
             level[~np.isfinite(level)] = -np.inf
             step = max(1, _CHUNK_ROWS // len(self.first_rows))
             for start in range(0, finite.size, step):
                 idx = finite[start:start + step]
-                fib = _fiber(self.first_rows, fresh[idx, None, :], problem.w,
-                             problem.p_in.probs, problem.rate)
-                d_c = _masked(fib, lambda f: f.d_c, lambda f: f.feasible)
+                fib = _fiber(self.first_rows, fresh.take(idx, axis=0)[:, None],
+                             problem._fiber_law, problem.rate)
+                d_c = _masked(fib.d_c, fib.feasible)
                 level[idx] -= d_c.min(axis=1)
-            self.memo.update(zip(unseen, map(float, level)))
-        return np.array([self.memo[key] for key in keys])
+            self.memo.update(zip(unseen, level.tolist()))
+        return np.fromiter(map(self.memo.__getitem__, keys), float,
+                           len(keys))
 
 
 def interference_level(q_out: Distribution, w: Channel, p_in: Distribution,

@@ -113,6 +113,58 @@ def test_zero_solver_flags_are_input_errors(z_spec_file, capsys, flag):
     assert "error:" in capsys.readouterr().err
 
 
+W3X4_SPEC = """\
+name: w3x4
+input_size: 3
+output_size: 4
+matrix: 0.5 0.2 0.2 0.1 0.1 0.4 0.3 0.2 0.2 0.2 0.1 0.5
+input_dist: 0.3 0.3 0.4
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["--grid", "17"]])
+def test_exponent_on_a_channel_beyond_the_default_grid(tmp_path, capsys,
+                                                       flags):
+    # nine free dimensions: default_config serves at most six, but the
+    # tilts at tau > 0 use no grid, with or without --grid
+    from softcover import fa_exponent, md_exponent
+    path = tmp_path / "w3x4.channel"
+    path.write_text(W3X4_SPEC)
+    assert main(["exponent", "--spec", str(path), "--tau", "0.1",
+                 "--rate", "0.1"] + flags) == 0
+    payload = json.loads(capsys.readouterr().out)
+    w, p_in = parse_channel_spec(W3X4_SPEC).to_channel()
+    assert payload["e_fa"] == fa_exponent(w, p_in, 0.1, 0.1).value
+    assert payload["e_md"] == md_exponent(w, p_in, 0.1, 0.1).value
+    assert payload["manifest"]["solver_config"] == (
+        None if not flags else {"grid_points_per_dim": 17,
+                                "refinement_rounds": 4,
+                                "refinement_shrink": 0.1})
+    # a grid solve still needs a grid the channel can take
+    assert main(["exponent", "--spec", str(path), "--tau", "-0.1",
+                 "--rate", "0.1"]) == 2
+    assert "at most 6 free dimensions" in capsys.readouterr().err
+
+
+def test_manifest_configuration_of_small_channels_is_unchanged(
+        z_spec_file, tmp_path, capsys):
+    # the grid default_config picks, with SolverConfig's own polish settings
+    spec_3x2 = tmp_path / "w3x2.channel"
+    spec_3x2.write_text(W3X4_SPEC.replace("output_size: 4", "output_size: 2")
+                        .replace("0.5 0.2 0.2 0.1 0.1 0.4 0.3 0.2 0.2 0.2 "
+                                 "0.1 0.5", "0.9 0.1 0.2 0.8 0.5 0.5"))
+    for spec, flags, grid in [(z_spec_file, [], 401),
+                              (str(spec_3x2), [], 61),
+                              (z_spec_file, ["--refine", "2"], 401)]:
+        assert main(["exponent", "--spec", spec, "--tau", "0.1",
+                     "--rate", "0.05", "--which", "fa"] + flags) == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert manifest["solver_config"] == {
+            "grid_points_per_dim": grid,
+            "refinement_rounds": 2 if flags else 4,
+            "refinement_shrink": 0.1}
+
+
 def test_missing_spec_file_is_input_error(capsys):
     assert main(["info", "--spec", "/nonexistent.channel"]) == 2
 

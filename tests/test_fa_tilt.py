@@ -49,8 +49,8 @@ def _grid_fa(w, p_in, tau, rate, cfg):
     seeds."""
     problem = Problem(w, p_in, rate, cfg)
     found = problem._solve(
-        problem._fa_cost, lambda b: np.isfinite(b.lam) & (b.lam >= tau),
-        {None: [w.rows]})[0]
+        lambda b: np.isfinite(b.lam) & (b.lam >= tau),
+        [(problem._fa_cost, None, [w.rows])])[0]
     return math.inf if found is None else found.value
 
 

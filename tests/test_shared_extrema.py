@@ -1,0 +1,189 @@
+"""The level extrema of a rate are solved once, in lockstep, and shared.
+
+(a) ``fa_exponent`` then ``md_exponent`` at one (channel, input, rate,
+    configuration) and ``tau <= 0`` run one grid solve for the extrema
+    between them: the second call runs only its own exponent solve, and an
+    infeasible one (``tau <= lambda_min``) none. Another rate, configuration
+    or channel solves them anew.
+(b) Threads that mix the solvers on shared keys against a memo small enough
+    to evict get the single-threaded results and leave the stored entries
+    unchanged.
+(c) Bit identity: a digest of the value, branch and minimizer bytes of both
+    exponents over 200 Z-channel cells at ``tau <= 0``, recorded before the
+    extrema were shared and the polish candidates built in one pass.
+"""
+
+import concurrent.futures
+import hashlib
+import sys
+
+import numpy as np
+import pytest
+
+from softcover import (
+    Channel,
+    Distribution,
+    SolverConfig,
+    fa_exponent,
+    lambda_extrema,
+    md_exponent,
+)
+from softcover import exponents
+from softcover._memo import Memo
+from softcover.exponents import Problem
+
+Z_ROWS = [[1.0, 0.0], [0.45, 0.55]]
+UNIFORM = Distribution([0.5, 0.5])
+CFG17 = SolverConfig(grid_points_per_dim=17)
+
+
+@pytest.fixture
+def extrema(monkeypatch):
+    """A fresh, empty level-extrema memo in place of the package's."""
+    memo = Memo(exponents._EXTREMA.max_bytes)
+    monkeypatch.setattr(exponents, "_EXTREMA", memo)
+    return memo
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The number of ``Problem._solve`` calls so far, in a one-item list."""
+    count = [0]
+    solve = Problem._solve
+
+    def counted(self, *args):
+        count[0] += 1
+        return solve(self, *args)
+    monkeypatch.setattr(Problem, "_solve", counted)
+    return count
+
+
+def _solves_in(solves, call):
+    solves[0] = 0
+    call()
+    return solves[0]
+
+
+def test_md_reuses_the_extrema_that_fa_solved(zchannel, uniform2, extrema,
+                                              solves):
+    assert fa_exponent(zchannel, uniform2, -0.03, 0.1).feasible
+    assert solves[0] == 2  # the extrema, then E_FA
+    assert _solves_in(
+        solves, lambda: md_exponent(zchannel, uniform2, -0.03, 0.1)) == 1
+    # tau <= lambda_min: infeasible from the shared extrema alone
+    assert _solves_in(solves, lambda: md_exponent(
+        zchannel, uniform2, -0.2, 0.1)) == 0
+    assert not md_exponent(zchannel, uniform2, -0.2, 0.1).feasible
+    assert len(extrema._items) == 1
+
+
+@pytest.mark.parametrize("other", ["rate", "config", "channel"])
+def test_another_key_solves_the_extrema_anew(zchannel, uniform2, extrema,
+                                             solves, other):
+    fa_exponent(zchannel, uniform2, -0.03, 0.1)
+    w, rate, cfg = zchannel, 0.1, None
+    if other == "rate":
+        rate = 0.1 + 1e-9
+    elif other == "config":
+        cfg = SolverConfig(refinement_rounds=3)
+    else:
+        w = Channel([[1.0, 0.0], [0.45 + 1e-9, 0.55 - 1e-9]])
+    assert _solves_in(solves,
+                     lambda: md_exponent(w, uniform2, -0.03, rate, cfg)) == 2
+    assert len(extrema._items) == 2
+
+
+def test_an_explicit_default_configuration_shares_the_key(zchannel,
+                                                          uniform2, extrema,
+                                                          solves):
+    fa_exponent(zchannel, uniform2, -0.03, 0.1)
+    assert _solves_in(solves, lambda: md_exponent(
+        zchannel, uniform2, -0.03, 0.1,
+        exponents.default_config(zchannel))) == 1
+
+
+def test_stored_extrema_are_final_and_read_only(zchannel, uniform2,
+                                                extrema):
+    problem = Problem(zchannel, uniform2, 0.05)
+    low = problem.level_extremum(True, exponents.BULK)
+    high = problem.level_extremum(False, exponents.SPARSE)
+    # asking again, from a new instance, returns the same stored floats
+    again = Problem(zchannel, uniform2, 0.05)
+    assert again.level_extremum(True, exponents.BULK).value == low.value
+    assert again.level_extremum(False, exponents.SPARSE).value == high.value
+    assert low.value < 0 < high.value
+    with pytest.raises(ValueError):
+        high.cond[0, 0] = 0.5
+
+
+def _digest(res):
+    return (res.value.hex(), res.branch, None if res.minimizer is None
+            else res.minimizer.conditional.tobytes())
+
+
+def _mixed(task):
+    which, w, tau, rate, cfg = task
+    if which == "extrema":
+        return tuple(v.hex() for v in lambda_extrema(w, UNIFORM, rate, cfg))
+    solve = fa_exponent if which == "fa" else md_exponent
+    return _digest(solve(w, UNIFORM, tau, rate, cfg))
+
+
+def test_threads_sharing_an_evicting_memo_get_the_serial_results(
+        zchannel, random_2x3_channels, extrema, monkeypatch):
+    keys = [(zchannel, -0.03, 0.05, None), (zchannel, -0.01, 0.1, None),
+            (random_2x3_channels[1], -0.02, 0.1, CFG17)]
+    tasks = [(which,) + key for key in keys
+             for which in ("fa", "md", "extrema")]
+    want = [_mixed(task) for task in tasks]
+    stored = {key: tuple(a.copy() for a in value)
+              for key, value in extrema._items.items()}
+    assert len(stored) == 3
+    # room for one entry of the larger channel: every other key evicts
+    memo = Memo(max(sum(a.nbytes for a in v) for v in stored.values()))
+    monkeypatch.setattr(exponents, "_EXTREMA", memo)
+    order = list(np.random.default_rng(5).permutation(len(tasks) * 2)
+                 % len(tasks))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(_mixed, [tasks[i] for i in order],
+                                timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[i] for i in order]
+    assert 0 < len(memo._items) <= 1
+    for key, value in memo._items.items():
+        assert all(np.array_equal(a, b, equal_nan=True)
+                   for a, b in zip(value, stored[key]))
+        assert not any(a.flags.writeable for a in value)
+
+
+# sha256 of both exponents' (value, branch, minimizer bytes) over the cells
+# of _cells(), recorded with the per-call extrema solves and the per-input
+# polish candidate lists that the shared lockstep solve replaced
+CELLS_DIGEST = \
+    "8f48ba8b06ce6177a08f94b8a67a940ca50cd8cc96a8b7e2af68bd8cfd3d8ea1"
+
+
+def _cells(count=200):
+    """Z-channel cells at tau <= 0 from a fixed seed: R across (0.02,
+    I(X;Y)) and tau across [lambda_min - 0.012, 0], so that about one E_MD
+    in eight is infeasible."""
+    rng = np.random.default_rng(2013)
+    rates = 0.02 + 0.224 * rng.random(count)
+    taus = -0.09 * rng.random(count)
+    return [(float(t), float(r)) for t, r in zip(taus, rates)]
+
+
+def test_zchannel_cells_are_bit_identical():
+    w, h = Channel(Z_ROWS), hashlib.sha256()
+    infeasible = 0
+    for tau, rate in _cells():
+        fa = fa_exponent(w, UNIFORM, tau, rate)
+        md = md_exponent(w, UNIFORM, tau, rate)
+        infeasible += not md.feasible
+        h.update(repr((_digest(fa), _digest(md))).encode())
+    assert 10 <= infeasible <= 50
+    assert h.hexdigest() == CELLS_DIGEST

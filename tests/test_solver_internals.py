@@ -39,9 +39,9 @@ def _reference_ceiling(problem, q):
     d_m = float(kl_vec(q, problem.p_out.probs))
     if not np.isfinite(d_m):
         return -np.inf
-    rows = _row_grid(problem.w.num_outputs,
-                     problem.cfg.grid_points_per_dim)[0]
-    best = problem._fiber_min(q, [rows[:, None, :]])
+    rows, keep = _row_grid(problem.w.num_outputs,
+                           problem.cfg.grid_points_per_dim)
+    best = problem._fiber_min(q, [rows[keep][:, None, :]])
     return -np.inf if best is None else d_m - best.value
 
 
@@ -257,7 +257,9 @@ def test_row_grid_boxes_equal_per_box_linspace_grids():
         lo = np.clip(rows[:, 1:] - width / 2, 0.0, 1.0)
         hi = np.clip(rows[:, 1:] + width / 2, 0.0, 1.0)
         bounds = [(lo[b], hi[b]) for b in range(6)]
-        got = _row_grid(ny, g, lo, hi) + _row_grid(ny, g)
+        got = [box[keep] for grid in (_row_grid(ny, g, lo, hi),
+                                      _row_grid(ny, g))
+               for box, keep in zip(*grid)]
         bounds.append((np.zeros(ny - 1), np.ones(ny - 1)))
         for box, (box_lo, box_hi) in zip(got, bounds):
             axes = [np.linspace(a, b, g) for a, b in zip(box_lo, box_hi)]
