@@ -5,20 +5,23 @@ exact or Monte Carlo error probabilities of the threshold test.
 Randomness. Codebooks use numpy's PCG64 bit generator. A run is keyed by a
 user seed; trial ``t`` of a Monte Carlo run draws from
 ``PCG64(SeedSequence((seed, t)))``, so trials are independent streams and
-results do not depend on scheduling or worker count. Trials that touch fewer
-than ``_pool._INLINE_WORK`` array elements each run in the calling thread,
-because their small numpy calls hold the GIL; larger ones run on the worker
-pool, capped by ``SOFTCOVER_THREADS``. The pairs are byte-identical either
-way.
+results do not depend on scheduling or worker count. Consecutive trials are
+drawn and summed in groups of at most ``_GROUP_ELEMENTS`` array elements
+(but one trial), which bounds a group's memory. A group of at most
+``_pool._INLINE_WORK`` elements runs in the calling thread, because its
+small numpy calls hold the GIL; larger ones, single trials, run on the
+worker pool, capped by ``SOFTCOVER_THREADS``. The pairs are byte-identical
+for any grouping and any thread count.
 
 Exact sums for a fixed codebook run over the whole output space, which is
 capped at ``EXHAUSTIVE_BUDGET`` sequences; per-trial error probabilities are
 exact and only the codebook average is sampled. Each codeword adds its
 likelihood only to the outputs it can reach, so the work per codeword scales
-with those: 2^k outputs for a Z-channel codeword with k ones. The tables that
-do not depend on the codebook are kept across trials in ``_TABLES``, a
-``_memo.Memo`` (the same locked, byte-bounded LRU as the solver's bundle
-cache) of at most 64 MiB.
+with those: 2^k outputs for a Z-channel codeword with k ones; logs and
+statistics are formed only at outputs that some codeword reaches. The
+tables that do not depend on the codebook are kept across trials in
+``_TABLES``, a ``_memo.Memo`` (the same locked, byte-bounded LRU as the
+solver's bundle cache) of at most 64 MiB.
 
 At rate 0 the statistic depends on the output only through its joint type
 with the codeword, so the exact rate-0 sums run over joint type classes
@@ -49,6 +52,7 @@ EXHAUSTIVE_BUDGET = 20_000_000
 TYPE_CLASS_BUDGET = 1 << 21
 _ENUM_CHUNK = 1 << 16
 _GATHER_ELEMENTS = 1 << 20
+_GROUP_ELEMENTS = 1 << 17
 _TABLE_ROWS = 1 << 13
 
 
@@ -113,16 +117,7 @@ class Codebook:
             raise ValueError("codewords must be an (M, n) integer matrix")
         if mat.shape[0] < 1:
             raise ValueError("a codebook holds at least one codeword")
-        # a row is in the type class iff, sorted, it is the base word of
-        # the composition; a symbol outside the alphabet never is
-        base = np.repeat(np.arange(comp.size), np.maximum(comp, 0))
-        if base.size == n and (comp >= 0).all():
-            wrong = (np.sort(mat, axis=1) != base).any(axis=1)
-        else:
-            wrong = np.ones(mat.shape[0], dtype=bool)
-        if wrong.any():
-            raise ValueError(f"codeword {int(np.argmax(wrong))} is not in "
-                             f"the type class")
+        _check_type_class(mat, comp)
         mat.setflags(write=False)
         comp.setflags(write=False)
         object.__setattr__(self, "codewords", mat)
@@ -143,17 +138,48 @@ def codebook_size(n: int, rate: float) -> int:
     return max(1, round(math.exp(n * rate)))
 
 
+def _check_type_class(mat: np.ndarray, comp: np.ndarray):
+    """Raise unless every row of ``mat`` is in the type class of ``comp``."""
+    # a row is in the type class iff, sorted, it is the base word of the
+    # composition; a symbol outside the alphabet never is
+    base = np.repeat(np.arange(comp.size), np.maximum(comp, 0))
+    if base.size == mat.shape[1] and (comp >= 0).all():
+        wrong = (np.sort(mat, axis=1) != base).any(axis=1)
+    else:
+        wrong = np.ones(mat.shape[0], dtype=bool)
+    if wrong.any():
+        raise ValueError(f"codeword {int(np.argmax(wrong))} is not in the "
+                         f"type class")
+
+
+def _draw(m: int, counts: np.ndarray, seed) -> np.ndarray:
+    """``m`` codewords drawn uniformly from the type class of ``counts`` on
+    the PCG64 stream of ``seed``."""
+    base = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return rng.permuted(np.tile(base, (m, 1)), axis=1)
+
+
 def sample_codebook(n: int, rate: float, p_in: Distribution, seed) -> Codebook:
     """Draw ``round(e^{n rate})`` codewords uniformly from the quantized type
     class; ``seed`` may be an integer or a tuple of integers."""
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
     counts = quantized_composition(n, p_in)
+    return Codebook(_draw(codebook_size(n, rate), counts, seed), n, rate,
+                    counts)
+
+
+def sample_codebooks(n: int, rate: float, counts: np.ndarray, seed: int,
+                     trials: range) -> np.ndarray:
+    """The codebooks of Monte Carlo ``trials``, as a (trials, M, n) array:
+    trial ``t`` is ``sample_codebook``'s draw from ``(seed, t)``. Every
+    codeword is checked against the type class of ``counts`` in one
+    sort."""
     m = codebook_size(n, rate)
-    base = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    mat = rng.permuted(np.tile(base, (m, 1)), axis=1)
-    return Codebook(mat, n, rate, counts)
+    books = np.stack([_draw(m, counts, (seed, t)) for t in trials])
+    _check_type_class(books.reshape(-1, n), counts)
+    return books
 
 
 def mixture_prob(cb: Codebook, w: Channel, y) -> float:
@@ -402,27 +428,44 @@ def _check_budget(ny: int, n: int):
 def exact_error_probs(cb: Codebook, w: Channel, p_out: Distribution,
                       tau: float) -> tuple[float, float]:
     """Exact false-alarm and missed-detection probabilities of the threshold
-    test for one fixed codebook, by summing over every output sequence.
+    test for one fixed codebook, by summing over every output sequence: the
+    one-codebook call of ``group_error_probs``."""
+    return group_error_probs(cb.codewords[None], cb.composition, w, p_out,
+                             tau)[0]
+
+
+def group_error_probs(books: np.ndarray, composition: np.ndarray, w: Channel,
+                      p_out: Distribution, tau: float
+                      ) -> list[tuple[float, float]]:
+    """Exact (alpha, beta) of each codebook in ``books``, a (trials, M, n)
+    array of codewords of one composition, summed in one pass.
 
     Each codeword adds its likelihood only to the outputs it can reach (see
-    ``_Reach``); to any other output it would add exactly ``+0.0``. A
-    likelihood is the sum of the ``n`` log transition probabilities in
-    position order, and each output's mixture adds the codewords in index
-    order from ``+0.0``, so the result does not depend on how the work is
-    split. The sums of each 65,536-output block are then formed as in a
-    plain sweep of the output space.
+    ``_Reach``) in its own codebook's row of a (trials, outputs) mixture; to
+    any other output it would add exactly ``+0.0``. A likelihood is the sum
+    of the ``n`` log transition probabilities in position order, and each
+    output's mixture adds its codebook's codewords in index order from
+    ``+0.0``, so no pair depends on how the work is split or on which other
+    codebooks share the call. The log mixture and the statistic are formed
+    only at outputs of nonzero mixture; every other output has statistic
+    ``-inf`` (NaN where the null law is zero too), so it is accepted only
+    at ``tau = -inf``. Each codebook's sums of a 65,536-output block are the
+    arrays of a plain sweep of the output space: the accepted null masses
+    and the rejected mixture masses, zeros included, in output order.
 
     The output space is swept in passes of whole blocks, at most
     ``_GATHER_ELEMENTS`` outputs (but one block) each. Codewords are
     gathered in groups of at most ``_GATHER_ELEMENTS`` log-probabilities
     per chunk of reachable outputs (but one codeword). Tables that do not
-    depend on the codebook are kept across calls in ``_TABLES``, a memo of
+    depend on the codebooks are kept across calls in ``_TABLES``, a memo of
     at most 64 MiB."""
-    _check_budget(w.num_outputs, cb.n)
-    n, m, ny = cb.n, cb.size, w.num_outputs
-    total = ny ** n
-    reach = _Reach.of(w, cb.composition)
-    codes, weights = reach.columns(cb.codewords)
+    trials, m, n = books.shape
+    _check_budget(w.num_outputs, n)
+    total = w.num_outputs ** n
+    reach = _Reach.of(w, composition)
+    codes, weights = reach.columns(books.reshape(-1, n))
+    # the codebook, and so the mixture row, of each codeword
+    owner = np.repeat(np.arange(trials), m)
     with np.errstate(divide="ignore"):
         log_p = np.log(p_out.probs)
     span = max(_ENUM_CHUNK, _GATHER_ELEMENTS // _ENUM_CHUNK * _ENUM_CHUNK)
@@ -432,14 +475,16 @@ def exact_error_probs(cb: Codebook, w: Channel, p_out: Distribution,
     # starts, so a table of several chunks needs groups of one codeword, and
     # rows outside the pass are dropped.
     chunks = reach.rows // reach.chunk
-    groups = range(0, m, max(1, _GATHER_ELEMENTS // (reach.chunk * n)))
+    groups = range(0, trials * m,
+                   max(1, _GATHER_ELEMENTS // (reach.chunk * n)))
     if not reach.shared and chunks > 1:
-        groups = range(m)
-    alpha_parts: list[float] = []
-    beta_parts: list[float] = []
+        groups = range(trials * m)
+    alpha_parts = [[] for _ in range(trials)]
+    beta_parts = [[] for _ in range(trials)]
     for start in range(0, total, span):
         stop = min(start + span, total)
-        s_mix = np.zeros(stop - start)
+        width = stop - start
+        s_mix = np.zeros((trials, width))
         if reach.shared:
             first = reach.rank(start) // reach.chunk
             last = (reach.rank(stop) + reach.chunk - 1) // reach.chunk
@@ -453,31 +498,50 @@ def exact_error_probs(cb: Codebook, w: Channel, p_out: Distribution,
             if not reach.shared:
                 index = np.einsum("rj,gj->gr", digits,
                                   weights[g:g + groups.step])
-            out = np.broadcast_to(index - start, lik.shape)
-            if stop - start < total:
-                keep = (out >= 0) & (out < stop - start)
+            local = np.broadcast_to(index - start, lik.shape)
+            out = local + owner[g:g + groups.step, None] * width
+            if width < total:
+                keep = (local >= 0) & (local < width)
                 out, lik = out[keep], lik[keep]
             # unbuffered and in index order, which is codeword-major: each
             # output adds its codewords in index order
-            np.add.at(s_mix, out.ravel(), lik.ravel())
-        for a in range(start, stop, _ENUM_CHUNK):
-            b = min(a + _ENUM_CHUNK, stop)
+            np.add.at(s_mix.reshape(-1), out.ravel(), lik.ravel())
+        for a in range(0, width, _ENUM_CHUNK):
+            b = min(a + _ENUM_CHUNK, width)
             lp_null, p_null = _TABLES.get(
-                ("null", n, log_p.tobytes(), a, b),
-                lambda: _null_block(n, log_p, a, b),
+                ("null", n, log_p.tobytes(), start + a, start + b),
+                lambda: _null_block(n, log_p, start + a, start + b),
                 keep=total * 16 <= _TABLES.max_bytes // 2)
-            mix = s_mix[a - start:b - start] / m
-            # log(0) = -inf is written, not computed: numpy's log is several
-            # times slower on zeros, and most outputs of a sparse channel
-            # are unreached
-            log_mix = np.log(mix, out=np.full_like(mix, -np.inf),
-                             where=mix > 0)
-            with np.errstate(invalid="ignore"):
-                lam = (log_mix - lp_null) / n
+            block = s_mix[:, a:b]
+            outputs = b - a
+            if tau == -math.inf:
+                # outputs of zero mixture are accepted too where P_Y > 0
+                at = np.arange(block.size)
+            else:
+                at = np.flatnonzero(block != 0)
+            row, col = np.divmod(at, outputs)
+            mix = block[row, col] / m
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam = (np.log(mix) - lp_null[col]) / n
             accept = lam >= tau  # NaN (both laws zero) compares False
-            alpha_parts.append(float(p_null[accept].sum()))
-            beta_parts.append(float(mix[~accept].sum()))
-    return math.fsum(alpha_parts), math.fsum(beta_parts)
+            taken = np.cumsum(accept)
+            # per codebook, the accepted and the rejected outputs of the
+            # codebooks before it
+            before = np.concatenate(([0], taken))[
+                np.searchsorted(at, np.arange(trials + 1) * outputs)]
+            after = np.arange(trials + 1) * outputs - before
+            alpha = p_null[col[accept]]
+            # the rejected outputs, zeros included, in output order: each
+            # goes to its place less the accepted outputs before it
+            beta = np.zeros(after[-1])
+            reject = ~accept
+            beta[at[reject] - taken[reject]] = mix[reject]
+            for t in range(trials):
+                alpha_parts[t].append(
+                    float(alpha[before[t]:before[t + 1]].sum()))
+                beta_parts[t].append(float(beta[after[t]:after[t + 1]].sum()))
+    return [(math.fsum(a), math.fsum(b))
+            for a, b in zip(alpha_parts, beta_parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +677,16 @@ def per_trial_error_probs(n: int, rate: float, w: Channel,
                           seed: int) -> list[tuple[float, float]]:
     """Exact per-codebook (alpha, beta) pairs for each Monte Carlo trial.
 
-    Trials too small to gain from a second thread run in the calling
-    thread, larger ones on the worker pool (see ``_pool``); the pairs are
-    the same either way."""
+    Consecutive trials are drawn and summed in groups (``sample_codebooks``
+    and ``group_error_probs``) of as many trials as fit in
+    ``_GROUP_ELEMENTS`` array elements, but at least one. Groups too small
+    to gain from a second thread run in the calling thread, larger ones on
+    the worker pool (see ``_pool``); the pairs are the same either way, and
+    the same as one ``exact_error_probs`` call per trial."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if rate < 0:
+        raise ValueError(f"rate must be >= 0, got {rate}")
     # the errors every trial would raise, before any table is built
     counts = quantized_composition(n, p_in)
     _check_budget(w.num_outputs, n)
@@ -625,13 +694,16 @@ def per_trial_error_probs(n: int, rate: float, w: Channel,
     # outputs whose sums it forms
     work = (codebook_size(n, rate) * _Reach.of(w, counts).rows * n
             + w.num_outputs ** n)
+    size = max(1, _GROUP_ELEMENTS // work)
     p_out = Distribution(p_in.probs @ w.rows)
 
-    def one_trial(t: int) -> tuple[float, float]:
-        cb = sample_codebook(n, rate, p_in, (seed, t))
-        return exact_error_probs(cb, w, p_out, tau)
+    def one_group(group: range) -> list[tuple[float, float]]:
+        books = sample_codebooks(n, rate, counts, seed, group)
+        return group_error_probs(books, counts, w, p_out, tau)
 
-    return map_indexed(one_trial, range(trials), work)
+    groups = [range(t, min(t + size, trials)) for t in range(0, trials, size)]
+    return [pair for pairs in map_indexed(one_group, groups, work * size)
+            for pair in pairs]
 
 
 def estimate_from_values(values: list[float], seed: int) -> SimEstimate:

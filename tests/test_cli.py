@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,10 @@ output_size: 2
 matrix: 0.9 0.1 0.1 0.9
 input_dist: 0.5 0.5
 """
+
+
+def _read(path) -> str:
+    return Path(path).read_text(encoding="utf-8")
 
 
 @pytest.fixture()
@@ -174,7 +179,7 @@ def test_sweep_regions_and_monotonicity(z_spec_file, tmp_path, capsys):
     assert main(["sweep", "--spec", z_spec_file, "--rate", "0.05",
                  "--tau-min", "-0.05", "--tau-max", "0.50",
                  "--steps", "45", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = _read(out).splitlines()
     assert lines[0] == "tau,e_fa,e_md,fa_region,md_region"
     assert len(lines) == 46
     rows = [line.split(",") for line in lines[1:]]
@@ -197,7 +202,7 @@ def test_sweep_regions_and_monotonicity(z_spec_file, tmp_path, capsys):
     assert abs(transition(3, "FA_active", "FA_infinite") - 0.457) <= step
     assert abs(transition(4, "MD_active", "MD_zero") - 0.194) <= step
     # manifest sidecar accompanies the csv
-    manifest = json.load(open(out + ".manifest.json"))
+    manifest = json.loads(_read(out + ".manifest.json"))
     assert manifest["command"] == "sweep"
     assert len(manifest["spec_hash"]) == 64
 
@@ -214,7 +219,7 @@ def test_phase_csv(z_spec_file, tmp_path):
     assert main(["phase", "--spec", z_spec_file, "--rate-min", "0.05",
                  "--rate-max", "0.35", "--rate-steps", "4",
                  "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = _read(out).splitlines()
     assert lines[0] == ("rate,i_xy,tau_flat,fa_flat_value,lambda_min,"
                         "lambda_max,tau_star,tau_kink")
     assert len(lines) == 5
@@ -232,8 +237,8 @@ def test_tradeoff_files(z_spec_file, tmp_path):
     prefix = str(tmp_path / "trade")
     assert main(["tradeoff", "--spec", z_spec_file, "--rate", "0.05",
                  "--samples", "41", "--out", prefix]) == 0
-    raw = open(prefix + "_raw.csv").read().splitlines()
-    env = open(prefix + "_envelope.csv").read().splitlines()
+    raw = _read(prefix + "_raw.csv").splitlines()
+    env = _read(prefix + "_envelope.csv").splitlines()
     assert raw[0] == "tau,e_fa,e_md" and env[0] == "e_fa,e_md"
     assert len(raw) == 42
     fas = [float(r.split(",")[0]) for r in env[1:]]
@@ -266,7 +271,7 @@ def test_simulate_exact_r0_summary_numbers_fit_a_double(z_spec_file, tmp_path,
                  "0", "--tau", "0.05", "--mode", "exact-r0", "--out", out]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["trials"] == 1
-    assert len(open(out).read().splitlines()) == 1 + payload["trials"]
+    assert len(_read(out).splitlines()) == 1 + payload["trials"]
 
     def numbers(value):
         if isinstance(value, dict):
@@ -301,7 +306,7 @@ def test_spec_hash_is_sha256_of_the_spec_file(name, tmp_path, capsys):
     assert main(["simulate", "--spec", str(path), "--n", "8", "--rate", "0",
                  "--tau", "0", "--mode", "exact-r0", "--out", out]) == 0
     capsys.readouterr()
-    manifest = json.load(open(out + ".manifest.json"))
+    manifest = json.loads(_read(out + ".manifest.json"))
     assert manifest["spec_hash"] == hashlib.sha256(
         path.read_bytes()).hexdigest()
 
@@ -312,7 +317,7 @@ def test_simulate_rows_in_unit_interval(z_spec_file, tmp_path, capsys):
                  "--rate", "0.2", "--tau", "0.05", "--trials", "6",
                  "--seed", "9", "--out", out]) == 0
     capsys.readouterr()
-    rows = open(out).read().splitlines()[1:]
+    rows = _read(out).splitlines()[1:]
     assert len(rows) == 6
     for row in rows:
         _, alpha, beta = row.split(",")
@@ -343,7 +348,7 @@ def test_simulate_deterministic_across_threads(z_spec_file, tmp_path, capsys,
     monkeypatch.setenv("SOFTCOVER_THREADS", "3")
     assert main(args + ["--out", out2]) == 0
     capsys.readouterr()
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_verify_zchannel_passes(capsys):

@@ -313,6 +313,109 @@ def test_frozen_pairs_do_not_depend_on_the_gather_budget(case, monkeypatch):
     assert got == want
 
 
+@pytest.mark.parametrize("case", sorted(FROZEN_TRIALS))
+@pytest.mark.parametrize("budget", [1, 1 << 40])
+def test_frozen_pairs_do_not_depend_on_the_group_size(case, budget,
+                                                      monkeypatch):
+    # one trial per group, and every trial in one group: on "z-n18" and
+    # "2x3-n12" a pass then holds several blocks of several codebooks
+    monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", budget)
+    got, want = _frozen_case(case)
+    assert got == want
+
+
+# (n, rate, channel rows, input distribution, seed); in "unused-input" only
+# the unused input 1 reaches output 2, so P_Y(2) = 0 and both laws vanish
+# at every output that holds a 2
+EDGE_CASES = {
+    "z": (10, 0.2, [[1.0, 0.0], [0.45, 0.55]], [0.5, 0.5], 41),
+    "bsc": (8, 0.25, [[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], 42),
+    "2x3": (8, 0.15, [[0.5, 0.3, 0.2], [0.0, 0.65, 0.35]], [0.5, 0.5], 43),
+    "unused-input": (8, 0.2, [[0.8, 0.2, 0.0], [0.0, 0.0, 1.0],
+                              [0.3, 0.7, 0.0]], [0.5, 0.0, 0.5], 44),
+}
+
+# frozen, as float.hex, from the loop that summed one codebook per call
+# before trials were grouped: per_trial_error_probs(n, rate, w, p_in, tau,
+# 5, seed) for each case. Per case: alpha at tau = -inf (beta is 0.0 and
+# alpha the same for every trial), the five pairs at tau = 0.03, and the
+# five betas at tau = +inf (alpha is 0.0)
+EDGE_PAIRS = {
+    "z": ("0x1.0000000000002p+0",
+          [("0x1.1dedab76d7035p-2", "0x1.9de7c66c04727p-3"),
+           ("0x1.10b6e8d8a25c3p-2", "0x1.95d72e30f0fc3p-3"),
+           ("0x1.069f0e78d8eacp-2", "0x1.6d8435098fad1p-3"),
+           ("0x1.222c78b261efep-2", "0x1.6d8435098fad0p-3"),
+           ("0x1.23063111ceb8cp-2", "0x1.5d63049368c0ap-3")],
+          ["0x1.0000000000001p+0", "0x1.0000000000001p+0",
+           "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+           "0x1.0000000000000p+0"]),
+    "bsc": ("0x1.0000000000001p+0",
+            [("0x1.8000000000001p-3", "0x1.654f05fdb380fp-3"),
+             ("0x1.b800000000001p-3", "0x1.5cb254259c1bfp-3"),
+             ("0x1.3800000000001p-3", "0x1.5d562880a7b04p-3"),
+             ("0x1.8000000000001p-3", "0x1.60517f9212c2ep-3"),
+             ("0x1.c800000000001p-3", "0x1.5b2bcdf68c32cp-3")],
+            ["0x1.0000000000000p+0", "0x1.0000000000000p+0",
+             "0x1.0000000000000p+0", "0x1.0000000000001p+0",
+             "0x1.fffffffffffffp-1"]),
+    "2x3": ("0x1.0000000000002p+0",
+            [("0x1.152b73259ef61p-2", "0x1.961baa8071aa4p-3"),
+             ("0x1.24c9d752da989p-2", "0x1.f9b9c19ee2f63p-3"),
+             ("0x1.23eaa7cf015a9p-2", "0x1.98df2594e4fecp-3"),
+             ("0x1.10413b35f3d7ep-2", "0x1.387bf34ed0000p-3"),
+             ("0x1.1761404472200p-2", "0x1.d3344031d7a1bp-3")],
+            ["0x1.ffffffffffffep-1", "0x1.fffffffffffffp-1",
+             "0x1.fffffffffffffp-1", "0x1.ffffffffffffep-1",
+             "0x1.fffffffffffffp-1"]),
+    "unused-input": ("0x1.ffffffffffffdp-1",
+                     [("0x1.f618bb1cf7068p-3", "0x1.8a3de6c068e64p-2"),
+                      ("0x1.0c01a26f2b310p-2", "0x1.7456e9f1a0c1ap-2"),
+                      ("0x1.f62dce96508ebp-3", "0x1.b548c1e5be0a6p-2"),
+                      ("0x1.b53761e29e1a4p-3", "0x1.099cf7471ecd7p-1"),
+                      ("0x1.f4fce8101f31cp-3", "0x1.af5c797d9a5f8p-2")],
+                     ["0x1.ffffffffffffep-1", "0x1.ffffffffffffep-1",
+                      "0x1.fffffffffffffp-1", "0x1.fffffffffffffp-1",
+                      "0x1.fffffffffffffp-1"]),
+}
+
+
+def _in_groups_of_two(case, monkeypatch):
+    """The case's channel and input, with a group budget of two trials, so
+    that five trials form groups of 2, 2 and 1."""
+    n, rate, rows, p_in, _ = EDGE_CASES[case]
+    w, p_in = Channel(rows), Distribution(p_in)
+    reach = simulate._Reach.of(w, quantized_composition(n, p_in))
+    work = codebook_size(n, rate) * reach.rows * n + w.num_outputs ** n
+    monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", 2 * work)
+    return w, p_in
+
+
+@pytest.mark.parametrize("tau", [-math.inf, 0.03, math.inf])
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_grouped_pairs_are_frozen_at_the_edges(case, tau, monkeypatch):
+    n, rate, _, _, seed = EDGE_CASES[case]
+    w, p_in = _in_groups_of_two(case, monkeypatch)
+    floor, pairs, ceiling = EDGE_PAIRS[case]
+    want = {-math.inf: [(floor, "0x0.0p+0")] * 5, 0.03: pairs,
+            math.inf: [("0x0.0p+0", beta) for beta in ceiling]}[tau]
+    got = simulate.per_trial_error_probs(n, rate, w, p_in, tau, 5, seed)
+    assert [(a.hex(), b.hex()) for a, b in got] == want
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_grouped_pairs_equal_one_codebook_at_a_time(case, monkeypatch):
+    n, rate, _, _, seed = EDGE_CASES[case]
+    w, p_in = _in_groups_of_two(case, monkeypatch)
+    p_out = output_marginal(p_in, w)
+    for tau in (-math.inf, -0.04, 0.03, math.inf):
+        got = simulate.per_trial_error_probs(n, rate, w, p_in, tau, 5, seed)
+        want = [exact_error_probs(sample_codebook(n, rate, p_in, (seed, t)),
+                                  w, p_out, tau) for t in range(5)]
+        assert [(a.hex(), b.hex()) for a, b in got] == \
+            [(a.hex(), b.hex()) for a, b in want]
+
+
 @pytest.mark.parametrize("n,rate,which", [
     (8, 0.3, "z"), (6, 0.5, "bsc"), (6, 0.4, "2x3"),
     (8, 0.8, "z"),  # 601 codewords: more than one gather group
@@ -353,16 +456,16 @@ def test_exact_sums_do_not_depend_on_codeword_grouping(bsc, zchannel,
 
 
 def _recording_thread_ids(monkeypatch):
-    """Wrap ``simulate.exact_error_probs`` to record the threads it runs
+    """Wrap ``simulate.group_error_probs`` to record the threads it runs
     on."""
     seen = set()
-    exact = simulate.exact_error_probs
+    exact = simulate.group_error_probs
 
     def recorded(*args, **kwargs):
         seen.add(threading.get_ident())
         return exact(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "exact_error_probs", recorded)
+    monkeypatch.setattr(simulate, "group_error_probs", recorded)
     return seen
 
 

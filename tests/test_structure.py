@@ -4,8 +4,8 @@
     modules such as ``._pool`` may be imported from, as long as the names
     are public.
 (b) The exponent solver has one masked argmin and one shrinking-box loop.
-(c) Every Monte Carlo trial calls the module attributes ``sample_codebook``
-    and ``exact_error_probs`` once.
+(c) Every group of Monte Carlo trials calls the module attributes
+    ``sample_codebooks`` and ``group_error_probs`` once.
 (d) Only ``_memo.py`` constructs a ``threading.Lock`` or an ``OrderedDict``:
     every cache goes through its one LRU type.
 """
@@ -54,28 +54,34 @@ def test_exponents_has_one_scan_and_one_polish_loop():
         f"refinement_shrink ** at lines {[n.lineno for n in shrinks]}"
 
 
-def test_monte_carlo_calls_the_module_hooks_once_per_trial(zchannel,
+def test_monte_carlo_calls_the_module_hooks_once_per_group(zchannel,
                                                            uniform2,
                                                            monkeypatch):
-    # a benchmark can trace each trial by swapping these two module
-    # attributes, so every trial must go through both of them
+    # a benchmark can trace each group of trials by swapping these two
+    # module attributes, so every group must go through both of them, and
+    # the groups must cover the trials in order
     from softcover import simulate
-    calls = {"sample_codebook": 0, "exact_error_probs": 0}
+    drawn, summed = [], []
+    sample, group = simulate.sample_codebooks, simulate.group_error_probs
 
-    def counted(name):
-        fn = getattr(simulate, name)
+    def sample_wrapper(*args):
+        drawn.append(args[-1])
+        return sample(*args)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def group_wrapper(books, *args):
+        summed.append(len(books))
+        return group(books, *args)
 
-    for name in calls:
-        monkeypatch.setattr(simulate, name, counted(name))
-    trials = 5
-    simulate.per_trial_error_probs(8, 0.2, zchannel, uniform2, 0.05, trials,
-                                   seed=1)
-    assert calls == {"sample_codebook": trials, "exact_error_probs": trials}
+    monkeypatch.setattr(simulate, "sample_codebooks", sample_wrapper)
+    monkeypatch.setattr(simulate, "group_error_probs", group_wrapper)
+    # one trial at n = 8, R = 0.2 touches 5 codewords x 16 reachable
+    # outputs x 8 positions + 256 outputs; the budget holds two trials
+    monkeypatch.setattr(simulate, "_GROUP_ELEMENTS", 2 * (5 * 16 * 8 + 256))
+    pairs = simulate.per_trial_error_probs(8, 0.2, zchannel, uniform2, 0.05,
+                                           5, seed=1)
+    assert drawn == [range(0, 2), range(2, 4), range(4, 5)]
+    assert summed == [2, 2, 1]
+    assert len(pairs) == 5
 
 
 def test_only_the_memo_module_builds_locks_and_ordered_dicts():
