@@ -430,12 +430,8 @@ def zchannel_checkpoints(cfg: SolverConfig | None = None) -> dict[str, float]:
 
 
 def cmd_verify_zchannel(args) -> int:
-    cfg = None
-    if any(getattr(args, flag) is not None
-           for flag in ("grid", "refine", "shrink")):
-        w, _ = parse_channel_spec(ZCHANNEL_SPEC).to_channel()
-        cfg = _cfg_from_args(args, w)
-    computed = zchannel_checkpoints(cfg)
+    w, _ = parse_channel_spec(ZCHANNEL_SPEC).to_channel()
+    computed = zchannel_checkpoints(_cfg_from_args(args, w))
     print(f"{'check':<24}{'expected':>12}{'computed':>14}{'tol':>10}  status")
     failures = 0
     for name, expected, tol in ZCHANNEL_CHECKS:

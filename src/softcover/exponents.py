@@ -21,7 +21,7 @@ beyond the edge ``sum_x P(x) max_y i(x, y)``, where the level maximum
 with no grid, so the solver configuration has no effect there. The grid
 below serves the false-alarm exponent at ``R > 0`` and ``tau <= 0``, the
 gated missed-detection exponent (``R > 0``, ``tau <= 0``), the level
-minimum, the per-branch level extrema and the interference level.
+minima, the bulk branch's level maximum and the interference level.
 
 The generic solver lays a dense grid over the free conditional coordinates
 (one simplex per input symbol), splits the non-smooth clipped rate term into
@@ -29,13 +29,13 @@ the bulk branch (``I_Q <= R``) and the sparse branch (``I_Q >= R``), and
 polishes each branch's incumbent with successively shrunken boxes. Every
 solve runs several tasks in lockstep, each a (objective, branch) pair with
 its own seeds and its own boxes: the two branches of an exponent, or the
-five level extrema of a rate (the minimum and the maximum of each branch and
-the minimum over both). Every block of candidates (the seeds of all tasks,
-each base-grid block, each polish round's boxes around all incumbents) is
-measured, masked and gated once, and each task then takes the argmin of its
-own objective on its own part under its own ``I_Q`` test. A polish round
-builds its candidates in one pass: one grid call for all boxes, one filter
-over all of them and one product per incumbent.
+four level extrema of a rate (the minimum over both branches and within
+each, and the bulk branch's maximum). Every block of candidates (the seeds
+of all tasks, each base-grid block, each polish round's boxes around all
+incumbents) is measured, masked and gated once, and each task then takes
+the argmin of its own objective on its own part under its own ``I_Q`` test.
+A polish round builds its candidates in one pass: one grid call for all
+boxes, one filter over all of them and one product per incumbent.
 ``Problem`` holds one (channel, input, rate, configuration) and solves both
 exponents, the level extrema and the interference level with one masked
 argmin (``_scan``) and one shrinking-box loop (``_polish``); the public
@@ -425,10 +425,11 @@ def _negated_level(b):
     return -b.lam
 
 
-# the level extrema solved together per rate: the minimum and the maximum
-# of each branch and the minimum over both
-_EXTREMA_KEYS = ((True, None), (True, BULK), (True, SPARSE), (False, BULK),
-                 (False, SPARSE))
+# the level extrema solved together per rate, as (objective, branch): the
+# minimum over both branches and within each, and the bulk branch's maximum,
+# the one maximum a solve reads (it seeds the false-alarm bulk branch)
+_EXTREMA_KEYS = ((_level, None), (_level, BULK), (_level, SPARSE),
+                 (_negated_level, BULK))
 
 
 class _Extrema(NamedTuple):
@@ -557,13 +558,14 @@ class Problem:
     """Both exponent problems for one channel, input distribution, rate and
     solver configuration.
 
-    The output marginal is derived once. The level extrema, which seed the
-    exponent solves, do not depend on the threshold: the first request
-    solves all of them at once and keeps them in ``_EXTREMA`` per channel,
-    input, rate and configuration, which every instance shares, so
-    ``fa_exponent`` and ``md_exponent`` at one rate solve them once between
-    them. The memo of the interference-ceiling gate is the instance's own,
-    so a threshold sweep should still build one instance per rate.
+    The output marginal is derived once. The level extrema (the minima and
+    the bulk maximum), which seed the exponent solves, do not depend on the
+    threshold: the first request solves all of them at once and keeps them
+    in ``_EXTREMA`` per channel, input, rate and configuration, which every
+    instance shares, so ``fa_exponent`` and ``md_exponent`` at one rate
+    solve them once between them. The memo of the interference-ceiling
+    gate is the instance's own, so a threshold sweep should still build one
+    instance per rate.
     """
 
     def __init__(self, w: Channel, p_in: Distribution, rate: float,
@@ -700,12 +702,12 @@ class Problem:
         solve seeded with the channel, kept in ``_EXTREMA``."""
         def solve():
             found = self._solve(_finite_level, [
-                (_level if minimize else _negated_level, branch,
-                 [self.w.rows]) for minimize, branch in _EXTREMA_KEYS])
+                (objective, branch, [self.w.rows])
+                for objective, branch in _EXTREMA_KEYS])
             values = np.array([
                 math.nan if res is None else
-                res.value if minimize else -res.value
-                for (minimize, _), res in zip(_EXTREMA_KEYS, found)])
+                res.value if objective is _level else -res.value
+                for (objective, _), res in zip(_EXTREMA_KEYS, found)])
             conds = np.array([self.w.rows if res is None else res.cond
                               for res in found])
             values.setflags(write=False)
@@ -716,28 +718,34 @@ class Problem:
                self.cfg)
         return _EXTREMA.get(key, solve)
 
-    def level_extremum(self, minimize: bool, branch: Optional[str] = None
-                       ) -> Optional[_Incumbent]:
-        """Polished extremum of the level within one branch, or over both
-        when ``branch`` is None; None when no type has a finite level. Thin
-        feasible slivers near a branch's level extremum fall between base
-        grid points, so each branch's exponent solve is seeded with this
-        point. The first request solves every extremum of the rate at once
-        (``_extrema``); the maximum over both branches is the larger branch
-        maximum, the bulk one on a tie. The returned conditional is
-        read-only."""
-        if (minimize, branch) == (False, None):
-            found = [self.level_extremum(False, br) for br in (BULK, SPARSE)]
-            return max((res for res in found if res is not None),
-                       key=lambda res: res.value, default=None)
+    def _extremum(self, objective, branch: Optional[str]
+                  ) -> Optional[_Incumbent]:
+        """The stored extremum of ``_EXTREMA_KEYS`` entry ``(objective,
+        branch)``; None when no type has a finite level. The first request
+        solves every extremum of the rate at once (``_extrema``). The
+        returned conditional is read-only."""
         extrema = self._extrema()
-        i = _EXTREMA_KEYS.index((minimize, branch))
+        i = _EXTREMA_KEYS.index((objective, branch))
         value = float(extrema.values[i])
         return None if math.isnan(value) else _Incumbent(value,
                                                          extrema.conds[i])
 
-    def _seeds(self, minimize: bool, branch: str) -> list[np.ndarray]:
-        extremum = self.level_extremum(minimize, branch)
+    def level_min(self, branch: Optional[str] = None
+                  ) -> Optional[_Incumbent]:
+        """Polished minimum of the level within one branch, or over both
+        when ``branch`` is None; None when no type has a finite level. Thin
+        feasible slivers near a branch's level minimum fall between base
+        grid points, so each branch's missed-detection solve is seeded with
+        this point."""
+        return self._extremum(_level, branch)
+
+    def _bulk_max(self) -> Optional[_Incumbent]:
+        """Polished maximum of the level within the bulk branch: just below
+        it the false-alarm feasible bulk types form a sliver that the base
+        grid can miss, so it seeds that branch."""
+        return self._extremum(_negated_level, BULK)
+
+    def _seeds(self, extremum: Optional[_Incumbent]) -> list[np.ndarray]:
         return [self.w.rows] + ([] if extremum is None else [extremum.cond])
 
     def _result(self, bulk: Optional[_Incumbent],
@@ -771,7 +779,7 @@ class Problem:
         half-space ``E_V[i] >= tau + R``, and ``_fa_tilt`` returns its exact
         minimum to root-finding tolerance; the grid and ``cfg`` are not
         used. Otherwise (``R > 0``, ``tau <= 0``) the grid solver runs,
-        seeded with each branch's level maximum."""
+        its bulk branch seeded with the bulk level maximum."""
         if tau > 0 or self.rate == 0:
             return self._fa_tilt(tau + self.rate)
 
@@ -779,8 +787,8 @@ class Problem:
             return np.isfinite(b.lam) & (b.lam >= tau)
 
         return self._result(*self._solve(
-            base, [(self._fa_cost, branch, self._seeds(False, branch))
-                   for branch in (BULK, SPARSE)]))
+            base, [(self._fa_cost, BULK, self._seeds(self._bulk_max())),
+                   (self._fa_cost, SPARSE, [self.w.rows])]))
 
     def md(self, tau: float) -> ExponentResult:
         """Missed-detection exponent at threshold ``tau`` (see
@@ -793,8 +801,7 @@ class Problem:
         the grid solver runs with the interference-ceiling gate."""
         if tau > 0 or self.rate == 0:
             return self._md_tilt(tau + self.rate)
-        bottoms = [self.level_extremum(True, branch)
-                   for branch in (BULK, SPARSE)]
+        bottoms = [self.level_min(branch) for branch in (BULK, SPARSE)]
         lam_min = min((b.value for b in bottoms if b is not None),
                       default=math.inf)
         if not lam_min < tau:
@@ -809,8 +816,8 @@ class Problem:
             return mask
 
         return self._result(*self._solve(
-            base, [(_d_c, branch, self._seeds(True, branch))
-                   for branch in (BULK, SPARSE)]))
+            base, [(_d_c, branch, self._seeds(bottom))
+                   for branch, bottom in zip((BULK, SPARSE), bottoms)]))
 
     def _md_tilt(self, t: float) -> ExponentResult:
         """Minimum of ``D_c`` over the half-space ``E_V[i] <= t``.
@@ -871,18 +878,6 @@ class Problem:
         return ExponentResult(
             cost(minimizer.conditional, i_q), minimizer,
             BULK if i_q <= self.rate + _BRANCH_TOL else SPARSE, True)
-
-    def count_near_minimum(self, value: float, atol: float = 1e-9) -> int:
-        """Number of base-grid candidates with a finite level whose
-        false-alarm cost is within ``atol`` of ``value`` (multiplicity of a
-        tie-broken unconstrained minimum)."""
-        count = 0
-        for bundle in self._base():
-            b = bundle.at_rate(self.rate)
-            with np.errstate(invalid="ignore"):
-                masked = _masked(self._fa_cost(b), _finite_level(b))
-            count += int(np.count_nonzero(masked <= value + atol))
-        return count
 
     def _fiber_min(self, q_out: np.ndarray, first_rows, best=None
                    ) -> Optional[_Incumbent]:

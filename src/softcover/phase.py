@@ -74,14 +74,13 @@ class PhaseReport:
 
 @dataclass(frozen=True)
 class FlatPoint:
-    """Unconstrained false-alarm minimum: its cost, the level of the
-    minimizer (the flat-region boundary), and whether the minimum was
-    attained by more than one grid candidate (tie-broken argmin)."""
+    """Unconstrained false-alarm minimum: its cost, the minimizer the scan
+    picked (the first in scan order on a tie), and its level, taken as the
+    flat-region boundary."""
 
     tau_flat: float
     fa_flat_value: float
     minimizer: JointType
-    multiple: bool = False
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def lambda_extrema(w: Channel, p_in: Distribution, rate: float,
     the polished grid minimum and the closed-form maximum
     ``[sum_x P(x) max_y i(x, y) - R]_+`` (``Problem.level_max``)."""
     problem = Problem(w, p_in, rate, cfg)
-    lo = problem.level_extremum(minimize=True)
+    lo = problem.level_min()
     if lo is None:
         raise ValueError("channel admits no type with a finite level")
     return lo.value, problem.level_max()
@@ -123,13 +122,13 @@ def tau_flat(w: Channel, p_in: Distribution, rate: float,
 
     When several candidates tie for the minimum (common away from singular
     channels, where a whole segment of types has zero cost) the first one in
-    scan order is reported and ``multiple`` is set.
+    scan order is reported, and its level need not be the top of the flat
+    region.
     """
     problem = Problem(w, p_in, rate, cfg)
     res = problem.fa(-math.inf)
     lam = llr_level(res.minimizer, w, problem.p_out, rate)
-    multiple = problem.count_near_minimum(res.value) > 1
-    return FlatPoint(lam, res.value, res.minimizer, multiple)
+    return FlatPoint(lam, res.value, res.minimizer)
 
 
 def tau_kink(w: Channel, p_in: Distribution, rate: float,
@@ -140,7 +139,7 @@ def tau_kink(w: Channel, p_in: Distribution, rate: float,
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
     problem = Problem(w, p_in, rate, cfg)
-    lam_min = problem.level_extremum(minimize=True).value
+    lam_min = problem.level_min().value
 
     def branch_at(tau: float) -> Optional[str]:
         return problem.md(tau).branch
@@ -251,7 +250,7 @@ def tradeoff_curve(w: Channel, p_in: Distribution, rate: float,
         raise ValueError("tau_samples must be >= 2")
     problem = Problem(w, p_in, rate, cfg)
     i_xy = mutual_information(JointType(p_in, w.rows))
-    lam_min = problem.level_extremum(minimize=True).value
+    lam_min = problem.level_min().value
     tau_star = max(0.0, i_xy - rate)
     taus = np.linspace(lam_min - _TAU_MARGIN, tau_star + _TAU_MARGIN,
                        tau_samples)

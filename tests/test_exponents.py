@@ -18,6 +18,7 @@ from softcover import (
     output_marginal,
     r0_exponents,
 )
+from softcover.exponents import Problem
 
 from _oracles import (
     bsc_scan_r0,
@@ -155,6 +156,17 @@ def test_feasibility_boundaries_match_level_extrema(zchannel, uniform2):
     assert not md_exponent(zchannel, uniform2, lam_min - delta, 0.05).feasible
     # the boundary itself: closed for false alarm, open for missed detection
     assert not md_exponent(zchannel, uniform2, lam_min, 0.05).feasible
+
+
+@pytest.mark.parametrize("rate", [0.02, 0.05, 0.1, 0.3])
+def test_fa_reaches_zero_just_below_the_bulk_level_maximum(bsc, uniform2,
+                                                          rate):
+    # the zero-cost bulk types with a level this close to the bulk maximum
+    # form a sliver between base grid points: only the bulk seed reaches
+    # it, and without that seed the sparse branch wins at about 3e-7
+    top = Problem(bsc, uniform2, rate)._bulk_max().value
+    res = fa_exponent(bsc, uniform2, top - 1e-6, rate)
+    assert res.value <= 1e-10 and res.branch == "bulk"
 
 
 # ------------------------------------------------------ Z-channel oracles

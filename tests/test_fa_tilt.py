@@ -201,13 +201,15 @@ def test_feasibility_ends_at_the_edge_with_the_limit_rows(uniform2, rows):
 
 
 def test_closed_form_level_maximum_meets_the_grid(zchannel, bsc, uniform2):
-    # the grid's polished level maximum, which still seeds E_FA at tau <= 0,
-    # meets the closed form that lambda_extrema now reports
+    # the grid's polished level maximum over both branches meets the closed
+    # form that lambda_extrema reports
     for w in (zchannel, bsc, Channel(SPARSE_2X3)):
         cfg = CFG17 if w.num_outputs == 3 else None
         for rate in (0.0, 0.05, 0.3):
             problem = Problem(w, uniform2, rate, cfg)
-            grid = problem.level_extremum(minimize=False).value
+            top = problem._solve(lambda b: np.isfinite(b.lam),
+                                 [(lambda b: -b.lam, None, [w.rows])])[0]
+            grid = -top.value
             closed = max(_i_max(w.rows, uniform2.probs) - rate, 0.0)
             assert grid == pytest.approx(closed, abs=1e-12)
             assert lambda_extrema(w, uniform2, rate, cfg)[1] == \

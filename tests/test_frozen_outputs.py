@@ -103,11 +103,11 @@ def test_phase_quantities(zchannel, bsc, uniform2):
     assert (lo.hex(), hi.hex()) == ("-0x1.3e2321fdf8a9cp-4",
                                     "0x1.d45798958d675p-2")
     fp = tau_flat(zchannel, uniform2, 0.05)
-    assert (fp.tau_flat.hex(), fp.fa_flat_value.hex(), fp.multiple) == \
-        ("0x1.1018023c98c48p-5", "0x1.c5cda297a721ep-4", False)
+    assert (fp.tau_flat.hex(), fp.fa_flat_value.hex()) == \
+        ("0x1.1018023c98c48p-5", "0x1.c5cda297a721ep-4")
     fp = tau_flat(bsc, uniform2, 0.05)
-    assert (fp.tau_flat.hex(), fp.fa_flat_value.hex(), fp.multiple) == \
-        ("-0x1.c0baf89a10d39p-3", "0x0.0p+0", True)
+    assert (fp.tau_flat.hex(), fp.fa_flat_value.hex()) == \
+        ("-0x1.c0baf89a10d39p-3", "0x0.0p+0")
 
 
 def test_rate_zero_exponents(zchannel, uniform2):
@@ -171,12 +171,10 @@ def test_zchannel_with_skewed_input(zchannel):
 
 @pytest.mark.parametrize("p_in", [[1.0, 0.0], [0.0, 1.0]])
 def test_zero_mass_input_keeps_all_its_rows(p_in):
-    # every row of the massless input ties, so the tie count is the number
-    # of its grid rows (401) times the one tying row of the other input
+    # every row of the massless input ties; the first in scan order wins
     w = Channel([[0.9, 0.1], [0.0, 1.0]])
     fp = tau_flat(w, Distribution(p_in), 0.05)
-    assert (fp.tau_flat.hex(), fp.fa_flat_value.hex(), fp.multiple) == \
-        (Z_ZERO, Z_ZERO, True)
+    assert (fp.tau_flat.hex(), fp.fa_flat_value.hex()) == (Z_ZERO, Z_ZERO)
     if p_in == [1.0, 0.0]:
         assert _hex(fa_exponent(w, Distribution(p_in), -0.1, 0.05)) == (
             Z_ZERO, "bulk",
@@ -192,8 +190,9 @@ def test_interference_level_on_zchannel(zchannel, uniform2):
     assert level == float("-inf")
 
 
-# Each branch's level extremum, which seeds that branch's exponent solves:
-# the value and the minimizing conditional, for (minimize, branch). Z at
+# The stored level extrema, which seed the exponent solves: the value and
+# the extremal conditional, for (minimum, branch), of each branch's minimum
+# (the E_MD seeds) and of the bulk maximum (the E_FA bulk seed). Z at
 # R = 0.3 lies above I(X;Y).
 LEVEL_EXTREMA = {
     ("Z", 0.05): {
@@ -205,8 +204,6 @@ LEVEL_EXTREMA = {
         (False, BULK): ("-0x1.854e3a7c92c30p-5",
                         (Z_ONE, Z_ZERO, "0x1.b9dba908a265fp-1",
                          "0x1.18915bdd76684p-3")),
-        (False, SPARSE): ("0x1.d45798958d674p-2",
-                          (Z_ONE, Z_ZERO, Z_ZERO, Z_ONE)),
     },
     ("Z", 0.3): {
         (True, BULK): ("-0x1.3e2321fdf8a9cp-4",
@@ -217,8 +214,6 @@ LEVEL_EXTREMA = {
         (False, BULK): (Z_ZERO,
                         (Z_ONE, Z_ZERO, "0x1.ccccccccccccdp-2",
                          "0x1.199999999999ap-1")),
-        (False, SPARSE): ("0x1.a8af312b1aceap-3",
-                          (Z_ONE, Z_ZERO, Z_ZERO, Z_ONE)),
     },
     ("BSC", 0.05): {
         (True, BULK): ("-0x1.cf0ba9006ba2fp-1",
@@ -229,8 +224,6 @@ LEVEL_EXTREMA = {
         (False, BULK): ("-0x1.bb119a640cff5p-3",
                         ("0x1.504577d955714p-1", "0x1.5f75104d551d7p-2",
                          "0x1.5f748a159817cp-2", "0x1.5045baf533f42p-1")),
-        (False, SPARSE): ("0x1.1358c613f582ap-1",
-                          (Z_ONE, Z_ZERO, Z_ZERO, Z_ONE)),
     },
     ("SPARSE_2X3", 0.1): {
         (True, BULK): ("-0x1.32e3d95d59100p-5",
@@ -242,8 +235,6 @@ LEVEL_EXTREMA = {
         (False, BULK): ("0x1.0000000000000p-52",
                         (Z_ZERO, Z_ONE, Z_ZERO, Z_ZERO,
                          "0x1.8000000000000p-1", "0x1.0000000000000p-2")),
-        (False, SPARSE): ("0x1.2fb0fcbc706bdp-1",
-                          (Z_ONE, Z_ZERO, Z_ZERO, Z_ZERO, Z_ZERO, Z_ONE)),
     },
 }
 
@@ -256,13 +247,40 @@ def test_level_extrema_per_branch(zchannel, bsc, uniform2, case, order):
     problem = Problem(w, uniform2, rate,
                       CFG17 if name == "SPARSE_2X3" else None)
     branches = [BULK, SPARSE] if order == "bulk first" else [SPARSE, BULK]
-    got = {}
-    for minimize in (True, False):
-        for branch in branches:
-            res = problem.level_extremum(minimize, branch)
-            got[minimize, branch] = (
-                res.value.hex(), tuple(float(v).hex() for v in res.cond.ravel()))
+    found = {(True, branch): problem.level_min(branch)
+             for branch in branches}
+    found[False, BULK] = problem._bulk_max()
+    got = {key: (res.value.hex(),
+                 tuple(float(v).hex() for v in res.cond.ravel()))
+           for key, res in found.items()}
     assert got == LEVEL_EXTREMA[case]
+
+
+# E_FA at and just below the sparse branch's level maximum of fixtures 1
+# and 3 at R = 0.3 (-0.10074 and -0.17364): at grid 17 and R in {0.02,
+# 0.05, 0.1, 0.3} the only fixture cells where that maximum lies below 0,
+# so the only ones where the sparse seed it once gave could matter. The
+# minimizer is the channel itself.
+FA_BELOW_SPARSE_MAX = {
+    1: ("-0x1.9ca5e97ce2abcp-4",
+        ("0x1.15aa81f18524ap-2", "0x1.4470d1b86cedep-2",
+         "0x1.a5e4ac560dedap-2", "0x1.930500775b02ap-2",
+         "0x1.741bb5ad296ebp-2", "0x1.f1be93b6f71d8p-3")),
+    3: ("-0x1.639c01ab49846p-3",
+        ("0x1.2aad6a365ee7ap-2", "0x1.0d9101707d2ebp-3",
+         "0x1.27450a88b1409p-1", "0x1.1d39c926ac16ep-2",
+         "0x1.54c5a3e2c386ep-4", "0x1.46ca66f05183bp-1")),
+}
+
+
+@pytest.mark.parametrize("index", sorted(FA_BELOW_SPARSE_MAX))
+@pytest.mark.parametrize("below", [0.0, 1e-6, 1e-3])
+def test_fa_below_the_sparse_level_maximum(random_2x3_channels, uniform2,
+                                           index, below):
+    top, cond = FA_BELOW_SPARSE_MAX[index]
+    res = fa_exponent(random_2x3_channels[index], uniform2,
+                      float.fromhex(top) - below, 0.3, CFG17)
+    assert _hex(res) == (Z_ZERO, "bulk", cond)
 
 
 def test_md_with_a_dead_sparse_branch(zchannel, uniform2):

@@ -148,7 +148,7 @@ def test_feasibility_flips_at_the_level_minimum(uniform2, rows):
     # grid's level extremum finds too
     w = Channel(rows)
     edge = _i_min(rows, uniform2.probs)
-    assert Problem(w, uniform2, 0.0).level_extremum(True).value == \
+    assert Problem(w, uniform2, 0.0).level_min().value == \
         pytest.approx(edge, abs=1e-12)
     for delta in (1e-3, 1e-6):
         below = r0_exponents(w, uniform2, edge - delta)[1]

@@ -45,7 +45,6 @@ def test_tau_flat_zchannel(zchannel, uniform2):
     fp = tau_flat(zchannel, uniform2, 0.05)
     assert fp.tau_flat == pytest.approx(0.033, abs=2e-3)
     assert fp.fa_flat_value == pytest.approx(0.111, abs=2e-3)
-    assert not fp.multiple
 
 
 def test_tau_flat_above_mutual_information(bsc, uniform2):
@@ -64,7 +63,6 @@ def test_tau_flat_bsc_brute_force(bsc, uniform2):
     assert fp.fa_flat_value == pytest.approx(want_flat, abs=1e-9)
     assert fp.fa_flat_value == pytest.approx(0.0, abs=1e-12)
     assert fp.tau_flat == pytest.approx(want_lam, abs=6e-3)
-    assert fp.multiple
 
 
 def test_tau_flat_tends_to_zero_toward_mutual_information(bsc, uniform2):

@@ -105,13 +105,13 @@ def test_an_explicit_default_configuration_shares_the_key(zchannel,
 def test_stored_extrema_are_final_and_read_only(zchannel, uniform2,
                                                 extrema):
     problem = Problem(zchannel, uniform2, 0.05)
-    low = problem.level_extremum(True, exponents.BULK)
-    high = problem.level_extremum(False, exponents.SPARSE)
+    low = problem.level_min(exponents.BULK)
+    high = problem._bulk_max()
     # asking again, from a new instance, returns the same stored floats
     again = Problem(zchannel, uniform2, 0.05)
-    assert again.level_extremum(True, exponents.BULK).value == low.value
-    assert again.level_extremum(False, exponents.SPARSE).value == high.value
-    assert low.value < 0 < high.value
+    assert again.level_min(exponents.BULK).value == low.value
+    assert again._bulk_max().value == high.value
+    assert low.value < high.value < 0
     with pytest.raises(ValueError):
         high.cond[0, 0] = 0.5
 

@@ -8,14 +8,19 @@
     ``sample_codebooks`` and ``group_error_probs`` once.
 (d) Only ``_memo.py`` constructs a ``threading.Lock`` or an ``OrderedDict``:
     every cache goes through its one LRU type.
+(e) Every third-party package that the tests or the benchmark import is
+    declared in ``pyproject.toml``.
 """
 
 import ast
 import pathlib
+import re
+import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "softcover"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "softcover"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -97,3 +102,31 @@ def test_only_the_memo_module_builds_locks_and_ordered_dicts():
             if name in ("Lock", "RLock", "OrderedDict"):
                 offenders.append(f"{path.name}:{node.lineno} {name}()")
     assert not offenders, f"locks or LRU maps outside _memo.py: {offenders}"
+
+
+def test_third_party_imports_of_tests_and_benchmark_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + [
+        req for extra in project["optional-dependencies"].values()
+        for req in extra]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in requirements}
+    offenders = []
+    for folder in ("tests", "perfbench"):
+        paths = sorted((ROOT / folder).glob("*.py"))
+        # the folder's own modules import each other by their bare names
+        local = {path.stem for path in paths} | {"softcover"}
+        for path in paths:
+            for node in ast.walk(_tree(path)):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [
+                    f"{folder}/{path.name}:{node.lineno} {top}"
+                    for top in (name.split(".")[0] for name in names)
+                    if top not in sys.stdlib_module_names | local | declared]
+    assert not offenders, f"undeclared third-party imports: {offenders}"
