@@ -18,7 +18,10 @@ capped at ``EXHAUSTIVE_BUDGET`` sequences; per-trial error probabilities are
 exact and only the codebook average is sampled. Each codeword adds its
 likelihood only to the outputs it can reach, so the work per codeword scales
 with those: 2^k outputs for a Z-channel codeword with k ones; logs and
-statistics are formed only at outputs that some codeword reaches. The
+statistics are formed only at outputs that some codeword reaches. A
+likelihood sums its ``n`` log transition probabilities in numpy's pairwise
+order for a row of ``n`` terms, reproduced by adding whole columns of the
+gathered logs (``_column_sums``). The
 tables that do not depend on the codebook are kept across trials in
 ``_TABLES``, a ``_memo.Memo`` (the same locked, byte-bounded LRU as the
 solver's bundle cache) of at most 64 MiB.
@@ -152,12 +155,17 @@ def _check_type_class(mat: np.ndarray, comp: np.ndarray):
                          f"type class")
 
 
-def _draw(m: int, counts: np.ndarray, seed) -> np.ndarray:
-    """``m`` codewords drawn uniformly from the type class of ``counts`` on
-    the PCG64 stream of ``seed``."""
-    base = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+def _base_words(m: int, counts: np.ndarray) -> np.ndarray:
+    """``m`` copies of the base word of ``counts``, the symbols in order."""
+    return np.tile(np.repeat(np.arange(counts.size, dtype=np.int64), counts),
+                   (m, 1))
+
+
+def _draw(words: np.ndarray, seed) -> np.ndarray:
+    """A copy of ``words`` with each row shuffled on the PCG64 stream of
+    ``seed``: codewords drawn uniformly from their type class."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return rng.permuted(np.tile(base, (m, 1)), axis=1)
+    return rng.permuted(words, axis=1)
 
 
 def sample_codebook(n: int, rate: float, p_in: Distribution, seed) -> Codebook:
@@ -166,8 +174,8 @@ def sample_codebook(n: int, rate: float, p_in: Distribution, seed) -> Codebook:
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
     counts = quantized_composition(n, p_in)
-    return Codebook(_draw(codebook_size(n, rate), counts, seed), n, rate,
-                    counts)
+    return Codebook(_draw(_base_words(codebook_size(n, rate), counts), seed),
+                    n, rate, counts)
 
 
 def sample_codebooks(n: int, rate: float, counts: np.ndarray, seed: int,
@@ -176,8 +184,8 @@ def sample_codebooks(n: int, rate: float, counts: np.ndarray, seed: int,
     trial ``t`` is ``sample_codebook``'s draw from ``(seed, t)``. Every
     codeword is checked against the type class of ``counts`` in one
     sort."""
-    m = codebook_size(n, rate)
-    books = np.stack([_draw(m, counts, (seed, t)) for t in trials])
+    words = _base_words(codebook_size(n, rate), counts)
+    books = np.stack([_draw(words, (seed, t)) for t in trials])
     _check_type_class(books.reshape(-1, n), counts)
     return books
 
@@ -376,20 +384,22 @@ class _Reach:
                             (r // self.place[cols]) % self.radix[cols]]
 
     def table(self, c: int) -> tuple:
-        """Chunk ``c``: per row and base column ``j``, ``log W(y_j | a)`` for
-        every input ``a`` (at ``j * nx + a``); the output digits; and the
-        index of the row's output when column ``j`` is position ``j``."""
+        """Chunk ``c``, column-major: per base column ``j`` and input ``a``
+        (at ``j * nx + a``), ``log W(y_j | a)`` of every row; the output
+        digits of every row, as floats, per column; and the index of each
+        row's output when column ``j`` is position ``j``."""
         def build():
             prefix = self._digits(np.array([[c * self.chunk]]),
                                   slice(0, self.cut))
             digits = np.concatenate(
                 [np.broadcast_to(prefix, (self.chunk, self.cut)),
-                 self.suffix], axis=1)
-            n = digits.shape[1]
-            index = np.einsum("rj,j->r", digits, self.ny ** np.arange(
-                n - 1, -1, -1, dtype=np.int64))
-            return (np.take(self.log_w.T, digits, axis=0
-                            ).reshape(self.chunk, -1), digits, index)
+                 self.suffix], axis=1).T
+            n = digits.shape[0]
+            index = self.ny ** np.arange(n - 1, -1, -1, dtype=np.int64
+                                         ) @ digits
+            return (np.take(self.log_w, digits, axis=1
+                            ).transpose(1, 0, 2).reshape(-1, self.chunk),
+                    digits.astype(float), index)
         return _TABLES.get(("rows",) + self.key + (c,), build, self.keep)
 
     def rank(self, t: int) -> int:
@@ -407,13 +417,16 @@ class _Reach:
         return int((alive * less * self.place).sum())
 
     def columns(self, codewords: np.ndarray) -> tuple:
-        """Per codeword, the column of a chunk's log table each position
-        reads (``j * nx + x_i``), and the output-index weight ``ny ** (n - 1
-        - order[j])`` of each base column."""
+        """Per position and codeword, the row of a chunk's log table that the
+        position reads (``j * nx + x_i``); and per base column ``j`` and
+        codeword, the output-index weight ``ny ** (n - 1 - order[j])``, as a
+        float."""
+        n = codewords.shape[1]
         order = np.argsort(self.classes[codewords], axis=1, kind="stable")
-        inv = np.argsort(order, axis=1)
-        codes = inv * self.log_w.shape[0] + codewords
-        return codes, self.ny ** (codewords.shape[1] - 1 - order)
+        inv = np.empty_like(order)
+        np.put_along_axis(inv, order, np.arange(n), axis=1)
+        codes = inv.T * self.log_w.shape[0] + codewords.T
+        return codes, np.power(float(self.ny), n - 1 - order.T)
 
 
 def _check_budget(ny: int, n: int):
@@ -434,6 +447,34 @@ def exact_error_probs(cb: Codebook, w: Channel, p_out: Distribution,
                              tau)[0]
 
 
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=0)`` as numpy forms ``x.sum(axis=-1)`` of a row of at
+    most 128 contiguous terms, bit for bit, but by elementwise adds of whole
+    slices ``terms[k]``, in place: the sums overwrite ``terms`` and come out
+    as the view ``terms[0]``. Fewer than 8 terms are added one by one onto
+    ``0.0``. Otherwise eight running sums ``r0`` to ``r7`` add up the blocks
+    of eight, ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` combines
+    them, the terms after the last whole block are added one by one, and
+    the result is added onto ``0.0``."""
+    n = terms.shape[0]
+    total = terms[0]
+    if n < 8:
+        total += 0.0
+        for k in range(1, n):
+            total += terms[k]
+        return total
+    whole = n - n % 8
+    for k in range(8, whole, 8):
+        terms[:8] += terms[k:k + 8]
+    terms[0:8:2] += terms[1:8:2]
+    terms[0:8:4] += terms[2:8:4]
+    total += terms[4]
+    for k in range(whole, n):
+        total += terms[k]
+    total += 0.0
+    return total
+
+
 def group_error_probs(books: np.ndarray, composition: np.ndarray, w: Channel,
                       p_out: Distribution, tau: float
                       ) -> list[tuple[float, float]]:
@@ -443,15 +484,17 @@ def group_error_probs(books: np.ndarray, composition: np.ndarray, w: Channel,
     Each codeword adds its likelihood only to the outputs it can reach (see
     ``_Reach``) in its own codebook's row of a (trials, outputs) mixture; to
     any other output it would add exactly ``+0.0``. A likelihood is the sum
-    of the ``n`` log transition probabilities in position order, and each
-    output's mixture adds its codebook's codewords in index order from
-    ``+0.0``, so no pair depends on how the work is split or on which other
-    codebooks share the call. The log mixture and the statistic are formed
-    only at outputs of nonzero mixture; every other output has statistic
-    ``-inf`` (NaN where the null law is zero too), so it is accepted only
-    at ``tau = -inf``. Each codebook's sums of a 65,536-output block are the
-    arrays of a plain sweep of the output space: the accepted null masses
-    and the rejected mixture masses, zeros included, in output order.
+    of the ``n`` log transition probabilities in numpy's pairwise order for
+    a row of ``n`` terms, formed by ``_column_sums`` from whole columns of
+    the gathered logs; each output's mixture adds its codebook's codewords
+    in index order from ``+0.0``. So no pair depends on how the work is
+    split or on which other codebooks share the call. The log mixture and
+    the statistic are formed only at outputs of nonzero mixture; every other
+    output has statistic ``-inf`` (NaN where the null law is zero too), so
+    it is accepted only at ``tau = -inf``. Each codebook's sums of a
+    65,536-output block are the arrays of a plain sweep of the output space:
+    the accepted null masses and the rejected mixture masses, zeros
+    included, in output order.
 
     The output space is swept in passes of whole blocks, at most
     ``_GATHER_ELEMENTS`` outputs (but one block) each. Codewords are
@@ -493,13 +536,16 @@ def group_error_probs(books: np.ndarray, composition: np.ndarray, w: Channel,
             work = ((c, g) for g in groups for c in range(chunks))
         for c, g in work:
             logs, digits, index = reach.table(c)
-            lik = np.exp(np.take(logs, codes[g:g + groups.step], axis=1
-                                 ).sum(axis=2)).T
+            group = slice(g, g + groups.step)
+            lik = np.exp(_column_sums(np.take(logs, codes[:, group], axis=0)))
             if not reach.shared:
-                index = np.einsum("rj,gj->gr", digits,
-                                  weights[g:g + groups.step])
+                # exact: every index and partial sum is an integer < 2**31.
+                # einsum's own loop, not a matmul: BLAS spreads a product
+                # this large over threads of its own, outside the pool
+                index = np.einsum("jg,jr->gr", weights[:, group],
+                                  digits).astype(np.int64)
             local = np.broadcast_to(index - start, lik.shape)
-            out = local + owner[g:g + groups.step, None] * width
+            out = local + owner[group, None] * width
             if width < total:
                 keep = (local >= 0) & (local < width)
                 out, lik = out[keep], lik[keep]
@@ -512,17 +558,17 @@ def group_error_probs(books: np.ndarray, composition: np.ndarray, w: Channel,
                 ("null", n, log_p.tobytes(), start + a, start + b),
                 lambda: _null_block(n, log_p, start + a, start + b),
                 keep=total * 16 <= _TABLES.max_bytes // 2)
-            block = s_mix[:, a:b]
+            block = s_mix[:, a:b].ravel()
             outputs = b - a
             if tau == -math.inf:
                 # outputs of zero mixture are accepted too where P_Y > 0
                 at = np.arange(block.size)
             else:
                 at = np.flatnonzero(block != 0)
-            row, col = np.divmod(at, outputs)
-            mix = block[row, col] / m
+            # the null tables are indexed by ``at % outputs``, by wrapping
+            mix = block.take(at) / m
             with np.errstate(divide="ignore", invalid="ignore"):
-                lam = (np.log(mix) - lp_null[col]) / n
+                lam = (np.log(mix) - lp_null.take(at, mode="wrap")) / n
             accept = lam >= tau  # NaN (both laws zero) compares False
             taken = np.cumsum(accept)
             # per codebook, the accepted and the rejected outputs of the
@@ -530,12 +576,12 @@ def group_error_probs(books: np.ndarray, composition: np.ndarray, w: Channel,
             before = np.concatenate(([0], taken))[
                 np.searchsorted(at, np.arange(trials + 1) * outputs)]
             after = np.arange(trials + 1) * outputs - before
-            alpha = p_null[col[accept]]
+            alpha = p_null.take(at.compress(accept), mode="wrap")
             # the rejected outputs, zeros included, in output order: each
             # goes to its place less the accepted outputs before it
             beta = np.zeros(after[-1])
             reject = ~accept
-            beta[at[reject] - taken[reject]] = mix[reject]
+            beta.put((at - taken).compress(reject), mix.compress(reject))
             for t in range(trials):
                 alpha_parts[t].append(
                     float(alpha[before[t]:before[t + 1]].sum()))
@@ -687,6 +733,8 @@ def per_trial_error_probs(n: int, rate: float, w: Channel,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     # the errors every trial would raise, before any table is built
     counts = quantized_composition(n, p_in)
     _check_budget(w.num_outputs, n)

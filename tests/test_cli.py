@@ -337,6 +337,16 @@ def test_simulate_without_trials_is_an_input_error(z_spec_file, tmp_path,
     assert not out.exists()
 
 
+def test_simulate_with_a_negative_seed_is_an_input_error(z_spec_file,
+                                                        tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--spec", z_spec_file, "--n", "8", "--rate",
+                 "0.2", "--tau", "0.05", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_simulate_deterministic_across_threads(z_spec_file, tmp_path, capsys,
                                                monkeypatch):
     args = ["simulate", "--spec", z_spec_file, "--n", "8", "--rate", "0.2",

@@ -247,6 +247,24 @@ def test_budget_guard(bsc, uniform2):
         exact_error_probs(cb, bsc, p_out, 0.0)[0]
 
 
+@pytest.mark.parametrize("n", range(1, 25))
+def test_column_sums_add_in_the_order_of_numpy_row_sums(n):
+    # numpy adds a contiguous row of at most 128 terms in a fixed pairwise
+    # order; if a release changes it, the likelihoods' last bits move and
+    # this fails before any frozen pair does
+    rng = np.random.default_rng(n)
+    rows = rng.standard_normal((300, n)) * 10.0 ** rng.integers(-30, 30,
+                                                                (300, n))
+    rows[rng.random(rows.shape) < 0.03] = -math.inf
+    rows[rng.random(rows.shape) < 0.05] = 0.0
+    rows[rng.random(rows.shape) < 0.05] = -0.0
+    rows[:2] = -0.0  # all negative zeros: the sum is +0.0
+    rows[2, :] = np.where(np.arange(n) % 2, -0.0, 0.0)
+    want = rows.sum(axis=-1)
+    got = simulate._column_sums(np.ascontiguousarray(rows.T))
+    assert got.tobytes() == want.tobytes()
+
+
 # frozen from the per-codeword loop that preceded the grouped enumerator:
 # per_trial_error_probs(12, 0.2, Z-channel, uniform, 0.05, 4, seed=3)
 Z_N12_TRIALS = [
@@ -287,6 +305,17 @@ FROZEN_TRIALS = {
                 [("0x1.ea00000000003p-5", "0x1.097cd4ed1c8dap-2"),
                  ("0x1.ec00000000003p-5", "0x1.0b94162d397b0p-2"),
                  ("0x1.0000000000002p-4", "0x1.fd59cb0f317a6p-3")]),
+    # recorded from the per-row reductions that preceded the column adds:
+    # likelihoods of fewer than 8 terms, added one by one
+    "bsc-n6": ((6, 0.3, [[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5], 0.04, 3, 15),
+               [("0x1.a000000000002p-3", "0x1.1f9c4c4316470p-2"),
+                ("0x1.0000000000002p-2", "0x1.dc69f8c21e1d6p-3"),
+                ("0x1.0000000000002p-2", "0x1.ac4cb2ef645ffp-3")]),
+    # 16 terms: the eight running sums take a second block
+    "z-n16": ((16, 0.15, [[1.0, 0.0], [0.45, 0.55]], [0.5, 0.5], 0.05, 3, 16),
+              [("0x1.f3431c0907aa8p-4", "0x1.c0a9eb826f868p-3"),
+               ("0x1.020290d5c789dp-3", "0x1.a4a7d73f41898p-3"),
+               ("0x1.f59264906909ap-4", "0x1.98149f2117fdap-3")]),
 }
 
 
@@ -304,7 +333,7 @@ def test_per_trial_pairs_are_frozen_on_more_channels(case):
     assert got == want
 
 
-@pytest.mark.parametrize("case", ["z-n18", "2x3-n12"])
+@pytest.mark.parametrize("case", ["z-n18", "2x3-n12", "bsc-n6", "z-n16"])
 def test_frozen_pairs_do_not_depend_on_the_gather_budget(case, monkeypatch):
     # a small budget splits the output space into one pass per block and
     # every codeword group into a single codeword
@@ -716,6 +745,15 @@ def test_monte_carlo_errors_come_before_any_table(n, error, message, bsc,
     with pytest.raises(error) as info:
         simulate.per_trial_error_probs(n, 0.05, bsc, uniform2, 0.05, 4, 1)
     assert str(info.value) == message
+    assert memo.bytes == 0 and not memo._items
+
+
+def test_a_negative_seed_fails_before_any_table(bsc, uniform2, monkeypatch):
+    memo = Memo(1 << 20)
+    monkeypatch.setattr(simulate, "_TABLES", memo)
+    with pytest.raises(ValueError) as info:
+        simulate.per_trial_error_probs(8, 0.05, bsc, uniform2, 0.05, 4, -1)
+    assert str(info.value) == "seed must be >= 0, got -1"
     assert memo.bytes == 0 and not memo._items
 
 
