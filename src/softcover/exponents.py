@@ -732,11 +732,11 @@ class Problem:
 
     def level_min(self, branch: Optional[str] = None
                   ) -> Optional[_Incumbent]:
-        """Polished minimum of the level within one branch, or over both
-        when ``branch`` is None; None when no type has a finite level. Thin
-        feasible slivers near a branch's level minimum fall between base
-        grid points, so each branch's missed-detection solve is seeded with
-        this point."""
+        """Polished minimum of the level within one branch, None when no
+        type of it has a finite level, or over both when ``branch`` is
+        None: ``lambda_min``, never None, as the channel's own level is
+        finite. Thin feasible slivers near these minima fall between base
+        grid points, so they seed the missed-detection solve."""
         return self._extremum(_level, branch)
 
     def _bulk_max(self) -> Optional[_Incumbent]:
@@ -745,8 +745,8 @@ class Problem:
         grid can miss, so it seeds that branch."""
         return self._extremum(_negated_level, BULK)
 
-    def _seeds(self, extremum: Optional[_Incumbent]) -> list[np.ndarray]:
-        return [self.w.rows] + ([] if extremum is None else [extremum.cond])
+    def _seeds(self, *extrema: Optional[_Incumbent]) -> list[np.ndarray]:
+        return [self.w.rows] + [e.cond for e in extrema if e is not None]
 
     def _result(self, bulk: Optional[_Incumbent],
                 sparse: Optional[_Incumbent]) -> ExponentResult:
@@ -798,13 +798,12 @@ class Problem:
         half-space ``E_V[i] <= tau + R``, and ``_md_tilt`` returns its exact
         minimum, Hoeffding's tilt of ``W``, to root-finding tolerance; the
         grid and ``cfg`` are not used. Otherwise (``R > 0``, ``tau <= 0``)
-        the grid solver runs with the interference-ceiling gate."""
+        it is infinite at or below ``level_min()``, and above it the grid
+        solver runs with the interference-ceiling gate."""
         if tau > 0 or self.rate == 0:
             return self._md_tilt(tau + self.rate)
-        bottoms = [self.level_min(branch) for branch in (BULK, SPARSE)]
-        lam_min = min((b.value for b in bottoms if b is not None),
-                      default=math.inf)
-        if not lam_min < tau:
+        bottom = self.level_min()
+        if not bottom.value < tau:
             return ExponentResult(math.inf, None, None, False)
 
         def base(b):
@@ -816,8 +815,8 @@ class Problem:
             return mask
 
         return self._result(*self._solve(
-            base, [(_d_c, branch, self._seeds(bottom))
-                   for branch, bottom in zip((BULK, SPARSE), bottoms)]))
+            base, [(_d_c, branch, self._seeds(self.level_min(branch), bottom))
+                   for branch in (BULK, SPARSE)]))
 
     def _md_tilt(self, t: float) -> ExponentResult:
         """Minimum of ``D_c`` over the half-space ``E_V[i] <= t``.
@@ -931,13 +930,14 @@ def md_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
     """Missed-detection exponent at threshold ``tau`` and rate ``rate > 0``.
 
     Minimizes ``D_c`` over the closure of the strict sublevel set of the
-    likelihood-ratio level; feasibility requires the level minimum to lie
-    strictly below ``tau``. For ``tau > 0`` that set is the half-space
-    ``E_V[i] <= tau + rate`` and the minimum is Hoeffding's tilt of ``W``,
-    found by a 1-D root search: exact to root-finding tolerance, not limited
-    by grid resolution, and ``cfg`` has no effect on it. For ``tau <= 0``
-    candidates must additionally keep the interference ceiling of their
-    output marginal below ``tau``, and the grid solver with ``cfg`` runs.
+    likelihood-ratio level; feasibility requires the level minimum, the
+    ``lambda_min`` of ``lambda_extrema``, to lie strictly below ``tau``.
+    For ``tau > 0`` that set is the half-space ``E_V[i] <= tau + rate`` and
+    the minimum is Hoeffding's tilt of ``W``, found by a 1-D root search:
+    exact to root-finding tolerance, not limited by grid resolution, and
+    ``cfg`` has no effect on it. For ``tau <= 0`` candidates must keep the
+    interference ceiling of their output marginal below ``tau`` too, and
+    the grid solver with ``cfg`` runs.
     """
     if rate == 0:
         raise ValueError(

@@ -110,10 +110,7 @@ def lambda_extrema(w: Channel, p_in: Distribution, rate: float,
     the polished grid minimum and the closed-form maximum
     ``[sum_x P(x) max_y i(x, y) - R]_+`` (``Problem.level_max``)."""
     problem = Problem(w, p_in, rate, cfg)
-    lo = problem.level_min()
-    if lo is None:
-        raise ValueError("channel admits no type with a finite level")
-    return lo.value, problem.level_max()
+    return problem.level_min().value, problem.level_max()
 
 
 def tau_flat(w: Channel, p_in: Distribution, rate: float,

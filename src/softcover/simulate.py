@@ -7,11 +7,11 @@ user seed; trial ``t`` of a Monte Carlo run draws from
 ``PCG64(SeedSequence((seed, t)))``, so trials are independent streams and
 results do not depend on scheduling or worker count. Consecutive trials are
 drawn and summed in groups of at most ``_GROUP_ELEMENTS`` array elements
-(but one trial), which bounds a group's memory. A group of at most
-``_pool._INLINE_WORK`` elements runs in the calling thread, because its
-small numpy calls hold the GIL; larger ones, single trials, run on the
-worker pool, capped by ``SOFTCOVER_THREADS``. The pairs are byte-identical
-for any grouping and any thread count.
+(but one trial), which bounds a group's memory. Groups run in the calling
+thread, because their small numpy calls hold the GIL, unless one trial
+exceeds ``_GROUP_ELEMENTS``: then each trial is a group of its own, and
+they run on the worker pool, capped by ``SOFTCOVER_THREADS``. The pairs
+are byte-identical for any grouping and any thread count.
 
 Exact sums for a fixed codebook run over the whole output space, which is
 capped at ``EXHAUSTIVE_BUDGET`` sequences; per-trial error probabilities are
@@ -55,7 +55,7 @@ EXHAUSTIVE_BUDGET = 20_000_000
 TYPE_CLASS_BUDGET = 1 << 21
 _ENUM_CHUNK = 1 << 16
 _GATHER_ELEMENTS = 1 << 20
-_GROUP_ELEMENTS = 1 << 17
+_GROUP_ELEMENTS = 1 << 17  # also the crossover of one thread and two
 _TABLE_ROWS = 1 << 13
 
 
@@ -161,6 +161,14 @@ def _base_words(m: int, counts: np.ndarray) -> np.ndarray:
                    (m, 1))
 
 
+def _check_seed(seed) -> None:
+    """Reject a negative seed, or a tuple of seeds with a negative entry,
+    before numpy does with a message that names no argument."""
+    parts = seed if isinstance(seed, tuple) else (seed,)
+    if any(part < 0 for part in parts):
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def _draw(words: np.ndarray, seed) -> np.ndarray:
     """A copy of ``words`` with each row shuffled on the PCG64 stream of
     ``seed``: codewords drawn uniformly from their type class."""
@@ -173,6 +181,7 @@ def sample_codebook(n: int, rate: float, p_in: Distribution, seed) -> Codebook:
     class; ``seed`` may be an integer or a tuple of integers."""
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
+    _check_seed(seed)
     counts = quantized_composition(n, p_in)
     return Codebook(_draw(_base_words(codebook_size(n, rate), counts), seed),
                     n, rate, counts)
@@ -703,6 +712,7 @@ def estimate_error_probs(n: int, rate: float, w: Channel, p_in: Distribution,
     ``mode="exact-r0"`` requires ``rate == 0`` and returns the exact average
     over the whole single-codeword ensemble.
     """
+    _check_seed(seed)
     if mode == "exact-r0":
         if rate != 0:
             raise ValueError("exact-r0 mode requires rate = 0")
@@ -725,16 +735,16 @@ def per_trial_error_probs(n: int, rate: float, w: Channel,
 
     Consecutive trials are drawn and summed in groups (``sample_codebooks``
     and ``group_error_probs``) of as many trials as fit in
-    ``_GROUP_ELEMENTS`` array elements, but at least one. Groups too small
-    to gain from a second thread run in the calling thread, larger ones on
-    the worker pool (see ``_pool``); the pairs are the same either way, and
-    the same as one ``exact_error_probs`` call per trial."""
+    ``_GROUP_ELEMENTS`` array elements, but at least one. The groups run
+    in the calling thread, where a second thread would gain nothing,
+    unless one trial exceeds ``_GROUP_ELEMENTS``; then on the worker pool
+    (see ``_pool``). The pairs are the same either way, and the same as
+    one ``exact_error_probs`` call per trial."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_seed(seed)
     # the errors every trial would raise, before any table is built
     counts = quantized_composition(n, p_in)
     _check_budget(w.num_outputs, n)
@@ -750,8 +760,8 @@ def per_trial_error_probs(n: int, rate: float, w: Channel,
         return group_error_probs(books, counts, w, p_out, tau)
 
     groups = [range(t, min(t + size, trials)) for t in range(0, trials, size)]
-    return [pair for pairs in map_indexed(one_group, groups, work * size)
-            for pair in pairs]
+    run = map if work <= _GROUP_ELEMENTS else map_indexed
+    return [pair for pairs in run(one_group, groups) for pair in pairs]
 
 
 def estimate_from_values(values: list[float], seed: int) -> SimEstimate:

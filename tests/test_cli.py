@@ -337,6 +337,17 @@ def test_simulate_without_trials_is_an_input_error(z_spec_file, tmp_path,
     assert not out.exists()
 
 
+def test_simulate_exact_r0_at_a_positive_rate_is_an_input_error(
+        z_spec_file, tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--spec", z_spec_file, "--n", "8", "--rate",
+                 "0.1", "--tau", "0.05", "--mode", "exact-r0",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: exact-r0 mode requires --rate 0\n"
+    assert not out.exists()
+
+
 def test_simulate_with_a_negative_seed_is_an_input_error(z_spec_file,
                                                         tmp_path, capsys):
     out = tmp_path / "sim.csv"

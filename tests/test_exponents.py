@@ -267,6 +267,10 @@ def test_interference_level_examples(zchannel, uniform2):
     # compatible conditional, and its information can exceed the rate
     q = Distribution([0.8, 0.2])
     assert interference_level(q, zchannel, uniform2, 0.05) == -math.inf
+    # a marginal with mass off the support of P_Y has D_m = inf
+    w3 = Channel([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+    assert interference_level(Distribution([0.5, 0.5, 0.0]), w3,
+                              Distribution([1.0, 0.0]), 0.1) == -math.inf
     val = interference_level(q, zchannel, uniform2, 0.20)
     assert val == pytest.approx(-0.00755256, abs=1e-6)
     with pytest.raises(ValueError):

@@ -94,6 +94,15 @@ def test_tau_kink_absent_at_high_rate(zchannel, uniform2):
     assert tau_kink(zchannel, uniform2, 0.8) is None
 
 
+def test_tau_kink_absent_when_lambda_min_is_next_to_zero(uniform2):
+    # equal rows: i = 0, so lambda_min = -R, and at R = 5e-5 the active
+    # region is narrower than the bisection's first offset from lambda_min
+    flat = Channel([[0.5, 0.5], [0.5, 0.5]])
+    assert lambda_extrema(flat, uniform2, 5e-5)[0] == \
+        pytest.approx(-5e-5, abs=1e-12)
+    assert tau_kink(flat, uniform2, 5e-5) is None
+
+
 def test_flat_region_is_constant(zchannel, uniform2):
     fp = tau_flat(zchannel, uniform2, 0.05)
     values = [fa_exponent(zchannel, uniform2, float(t), 0.05).value

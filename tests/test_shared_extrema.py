@@ -11,6 +11,9 @@
 (c) Bit identity: a digest of the value, branch and minimizer bytes of both
     exponents over 200 Z-channel cells at ``tau <= 0``, recorded before the
     extrema were shared and the polish candidates built in one pass.
+(d) One level minimum: the stored minimum over both branches is at most
+    each branch's, and it is the edge where gated ``E_MD`` becomes finite,
+    for ``md_exponent`` and ``classify`` alike.
 """
 
 import concurrent.futures
@@ -23,18 +26,27 @@ import pytest
 from softcover import (
     Channel,
     Distribution,
+    JointType,
+    RegionTag,
     SolverConfig,
+    classify,
+    conditional_kl,
     fa_exponent,
+    interference_level,
     lambda_extrema,
+    llr_level,
     md_exponent,
+    output_marginal,
+    phase_report,
 )
 from softcover import exponents
 from softcover._memo import Memo
-from softcover.exponents import Problem
+from softcover.exponents import BULK, SPARSE, Problem
 
 Z_ROWS = [[1.0, 0.0], [0.45, 0.55]]
 UNIFORM = Distribution([0.5, 0.5])
 CFG17 = SolverConfig(grid_points_per_dim=17)
+SPARSE_2X3 = [[0.6, 0.4, 0.0], [0.0, 0.3, 0.7]]
 
 
 @pytest.fixture
@@ -187,3 +199,51 @@ def test_zchannel_cells_are_bit_identical():
         h.update(repr((_digest(fa), _digest(md))).encode())
     assert 10 <= infeasible <= 50
     assert h.hexdigest() == CELLS_DIGEST
+
+
+def _branch_min(problem):
+    return min(bottom.value for bottom in map(problem.level_min,
+                                              (BULK, SPARSE))
+               if bottom is not None)
+
+
+_PANEL = {
+    "Z": (Z_ROWS, 101),
+    "BSC": ([[0.9, 0.1], [0.1, 0.9]], 101),
+    "SPARSE_2X3": (SPARSE_2X3, 17),
+    "3x2": ([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]], 25),
+}
+
+
+@pytest.mark.parametrize("name", [*_PANEL, "fixture0"])
+@pytest.mark.parametrize("rate", [0.02, 0.1, 0.3, 0.6])
+def test_the_overall_level_minimum_is_at_most_each_branch_minimum(
+        name, rate, random_2x3_channels):
+    # the minimum over both branches is its own task: on SPARSE_2X3 it lies
+    # below both branch minima at most rates, so reading the smaller branch
+    # minimum instead would move the edge of E_MD
+    rows, g = _PANEL.get(name, (random_2x3_channels[0].rows, 17))
+    problem = Problem(Channel(rows), Distribution.uniform(len(rows)), rate,
+                      SolverConfig(grid_points_per_dim=g))
+    assert problem.level_min().value <= _branch_min(problem)
+
+
+@pytest.mark.parametrize("rate", [0.2, 0.3, 0.33072, 0.5])
+def test_md_is_finite_just_above_the_stored_level_minimum(rate):
+    # between the stored level minimum and the smaller branch minimum,
+    # classify says MD_active, so E_MD must be finite there, with a
+    # minimizer that passes both constraints of the gated problem
+    w = Channel(SPARSE_2X3)
+    problem = Problem(w, UNIFORM, rate, CFG17)
+    bottom, branch_min = problem.level_min(), _branch_min(problem)
+    assert bottom.value < branch_min
+    tau = 0.5 * (bottom.value + branch_min)
+    res = md_exponent(w, UNIFORM, tau, rate, CFG17)
+    assert res.feasible
+    assert res.value <= conditional_kl(JointType(UNIFORM, bottom.cond), w)
+    assert llr_level(res.minimizer, w, output_marginal(UNIFORM, w),
+                     rate) <= tau
+    assert interference_level(res.minimizer.output_marginal(), w, UNIFORM,
+                              rate, CFG17) <= tau
+    report = phase_report(w, UNIFORM, rate, CFG17, locate_kink=False)
+    assert classify(tau, report)[1] is RegionTag.MD_ACTIVE

@@ -134,6 +134,17 @@ def test_llr_minus_infinity(zchannel, uniform2):
     assert llr_from_types(cb, zchannel, p_out, [1, 0, 1, 1]) == -math.inf
 
 
+def test_llr_type_decomposition_with_an_unused_input_symbol():
+    # input 1 never appears in the codebook, so its joint-type row is empty
+    w = Channel([[0.8, 0.2], [0.5, 0.5], [0.1, 0.9]])
+    p_out = output_marginal(Distribution([0.5, 0.0, 0.5]), w)
+    cb = Codebook([[0, 2, 0, 2], [2, 2, 0, 0], [0, 0, 2, 2]], 4,
+                  math.log(3) / 4, [2, 0, 2])
+    for y in np.ndindex(*(2,) * 4):
+        assert llr_from_types(cb, w, p_out, y) == pytest.approx(
+            llr(cb, w, p_out, y), abs=1e-12)
+
+
 @pytest.mark.parametrize("n,rate", [(4, 0.0), (6, 0.3), (8, 0.25), (10, 0.5)])
 def test_llr_type_decomposition_identity(n, rate, zchannel, bsc, uniform2):
     # direct product evaluation against the type-grouped reconstruction
@@ -755,6 +766,19 @@ def test_a_negative_seed_fails_before_any_table(bsc, uniform2, monkeypatch):
         simulate.per_trial_error_probs(8, 0.05, bsc, uniform2, 0.05, 4, -1)
     assert str(info.value) == "seed must be >= 0, got -1"
     assert memo.bytes == 0 and not memo._items
+
+
+@pytest.mark.parametrize("seed", [-1, (4, -1)])
+@pytest.mark.parametrize("entry", ["sample_codebook", "mc", "exact-r0"])
+def test_every_entry_point_rejects_a_negative_seed(entry, seed, bsc,
+                                                   uniform2):
+    with pytest.raises(ValueError) as info:
+        if entry == "sample_codebook":
+            sample_codebook(8, 0.05, uniform2, seed)
+        else:
+            estimate_error_probs(8, 0.05 if entry == "mc" else 0.0, bsc,
+                                 uniform2, 0.05, 4, seed, mode=entry)
+    assert str(info.value) == f"seed must be >= 0, got {seed}"
 
 
 @pytest.mark.parametrize("trials", [0, -3])

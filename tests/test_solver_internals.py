@@ -5,7 +5,8 @@
     grid gives, and keeps one memo entry per distinct rounded marginal.
 (b) The base-bundle cache returns bit-identical results under concurrent
     first solves, stays within its byte bound and is used whenever few
-    enough candidates survive pruning.
+    enough candidates survive pruning; a streamed base grid, kept nowhere,
+    gives the cached results.
 (c) The gate derives the fiber row of the last input with positive mass.
 (d) The bulk and sparse branches are solved in lockstep: one bundle and one
     gate lookup per block for both, and the block size changes no output.
@@ -22,6 +23,7 @@ from softcover import (
     Distribution,
     SolverConfig,
     fa_exponent,
+    lambda_extrema,
     md_exponent,
 )
 from softcover import exponents
@@ -178,6 +180,31 @@ def test_bundle_cache_counts_the_candidates_left_after_pruning(
     a = Problem(zchannel, uniform2, 0.1, cfg)._base()
     assert a is Problem(zchannel, uniform2, 0.2, cfg)._base()
     assert sum(len(b.cond) for b in a) == 1500
+
+
+def test_a_streamed_base_grid_gives_the_cached_results(
+        zchannel, random_2x3_channels, uniform2, bundles, monkeypatch):
+    # above _CACHE_CANDIDATE_LIMIT surviving candidates the base grid is
+    # rebuilt on every pass through it instead of kept
+    def solve(w):
+        monkeypatch.setattr(exponents, "_EXTREMA",
+                            Memo(exponents._EXTREMA.max_bytes))
+        fa = fa_exponent(w, uniform2, -0.03, 0.1, CFG17)
+        md = md_exponent(w, uniform2, -0.03, 0.1, CFG17)
+        assert fa.feasible and md.feasible
+        extrema = lambda_extrema(w, uniform2, 0.1, CFG17)
+        return [tuple(map(float.hex, extrema))] + [
+            (r.value.hex(), r.branch, r.minimizer.conditional.tobytes())
+            for r in (fa, md)]
+
+    channels = (zchannel, random_2x3_channels[0])
+    want = [solve(w) for w in channels]
+    assert len(bundles._items) == 2
+    streamed = Memo(exponents._BUNDLES.max_bytes)
+    monkeypatch.setattr(exponents, "_BUNDLES", streamed)
+    monkeypatch.setattr(exponents, "_CACHE_CANDIDATE_LIMIT", 0)
+    assert [solve(w) for w in channels] == want
+    assert not streamed._items and streamed.bytes == 0
 
 
 def _count_calls(monkeypatch, owner, name, calls):
