@@ -203,29 +203,20 @@ def write_manifest(path: str, manifest: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cfg_from_args(args, w: Channel) -> SolverConfig | None:
-    """The solver configuration of the flags, the defaults filling the
-    ones not given: ``default_config(w)`` for the grid, ``SolverConfig``'s
-    own for the rest. None when ``--grid`` is not given and the channel has
-    more free dimensions than ``default_config`` serves: the tilts at
-    ``tau > 0`` need no grid, and a grid solve then raises when reached."""
-    grid = args.grid
-    if grid is None:
-        try:
-            grid = default_config(w).grid_points_per_dim
-        except ValueError:
-            return None
-    defaults = SolverConfig()
-    return SolverConfig(
-        grid_points_per_dim=grid,
-        refinement_rounds=(defaults.refinement_rounds if args.refine is None
-                           else args.refine),
-        refinement_shrink=(defaults.refinement_shrink if args.shrink is None
-                           else args.shrink),
-    )
+    """``SolverConfig(--grid)`` if given, else ``default_config(w)``. None
+    when ``--grid`` is not given and the channel has more free dimensions
+    than ``default_config`` serves: the tilts at ``tau > 0`` need no grid,
+    and a grid solve then raises when reached."""
+    if args.grid is not None:
+        return SolverConfig(args.grid)
+    try:
+        return default_config(w)
+    except ValueError:
+        return None
 
 
-def _unit_in(x: float | None, bits: bool) -> float | None:
-    return None if x is None else (x * LN2 if bits else x)
+def _unit_in(x: float, bits: bool) -> float:
+    return x * LN2 if bits else x
 
 
 def _unit_out(x: float | None, bits: bool) -> float | None:
@@ -336,7 +327,7 @@ def cmd_tradeoff(args) -> int:
     cfg = _cfg_from_args(args, w)
     bits = args.bits
     rate = _unit_in(args.rate, bits)
-    if rate is None or rate <= 0:
+    if rate <= 0:
         raise SpecError("rate must be > 0; a zero-rate codebook has a "
                         "degenerate tradeoff, use the exponent command with "
                         "--rate 0")
@@ -454,10 +445,6 @@ def cmd_verify_zchannel(args) -> int:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid", type=int, default=None,
                    help="grid points per free dimension")
-    p.add_argument("--refine", type=int, default=None,
-                   help="refinement rounds")
-    p.add_argument("--shrink", type=float, default=None,
-                   help="box shrink factor per refinement round")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -84,6 +84,8 @@ _CHUNK_ROWS = 1 << 18
 _SIMPLEX_TOL = 1e-9
 _DELTA_QUANT = 6  # decimal places used to memoize the interference ceiling
 _TILT_STEPS = 200  # bound on the Newton and bisection steps of a tilt root
+_POLISH_ROUNDS = 4  # shrinking-box passes after the base grid
+_POLISH_SHRINK = 0.1  # box width ratio from one polish round to the next
 
 BULK = "bulk"
 SPARSE = "sparse"
@@ -91,24 +93,15 @@ SPARSE = "sparse"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid-and-polish solver settings.
-
-    ``grid_points_per_dim`` is the number of samples per free conditional
-    coordinate, ``refinement_rounds`` local polish passes shrink the search
-    box by ``refinement_shrink`` around the incumbent each round.
-    """
+    """Grid-and-polish solver settings: ``grid_points_per_dim`` samples per
+    free conditional coordinate of the base grid. The polish schedule after
+    it is fixed (``_POLISH_ROUNDS``, ``_POLISH_SHRINK``)."""
 
     grid_points_per_dim: int = 401
-    refinement_rounds: int = 4
-    refinement_shrink: float = 0.1
 
     def __post_init__(self):
         if self.grid_points_per_dim < 17:
             raise ValueError("grid_points_per_dim must be >= 17")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be >= 0")
-        if not (0.0 < self.refinement_shrink < 1.0):
-            raise ValueError("refinement_shrink must lie in (0, 1)")
 
 
 def default_config(w: Channel) -> SolverConfig:
@@ -373,12 +366,11 @@ def _scan(blocks, objectives: Sequence, feasible,
 
 
 def _polish(bests: list[Optional[_Incumbent]], free_rows: int, points: int,
-            evaluate, cfg: SolverConfig, outside: np.ndarray
-            ) -> list[Optional[_Incumbent]]:
+            evaluate, outside: np.ndarray) -> list[Optional[_Incumbent]]:
     """Shrinking-box polish of several incumbents in lockstep; None entries
     are left as they are.
 
-    Round ``level`` grids a box of width ``refinement_shrink ** level``,
+    Round ``level`` grids a box of width ``_POLISH_SHRINK ** level``,
     clipped to [0, 1], around each of the first ``free_rows`` rows of every
     incumbent, all boxes in one ``_row_grid`` call with ``points`` samples
     per free coordinate. Each box lists its incumbent's own row first and
@@ -392,8 +384,8 @@ def _polish(bests: list[Optional[_Incumbent]], free_rows: int, points: int,
     if not live:
         return bests
     counts = np.zeros((len(bests), free_rows), dtype=np.intp)
-    for level in range(1, cfg.refinement_rounds + 1):
-        width = cfg.refinement_shrink ** level
+    for level in range(1, _POLISH_ROUNDS + 1):
+        width = _POLISH_SHRINK ** level
         own = np.concatenate([bests[k].cond[:free_rows] for k in live])
         boxes, keep = _row_grid(own.shape[1], points,
                                 np.clip(own[:, 1:] - width / 2, 0.0, 1.0),
@@ -694,7 +686,7 @@ class Problem:
         inputs = np.arange(self.w.num_inputs)
         points = _refine_points(self.w.num_outputs,
                                 self.cfg.grid_points_per_dim)
-        return _polish(bests, inputs.size, points, evaluate, self.cfg,
+        return _polish(bests, inputs.size, points, evaluate,
                        self._outside(inputs))
 
     def _extrema(self) -> _Extrema:
@@ -903,7 +895,7 @@ class Problem:
         if best is None:
             return -math.inf
         best, = _polish([best], inputs.size, self.cfg.grid_points_per_dim,
-                        evaluate, self.cfg, self._outside(inputs))
+                        evaluate, self._outside(inputs))
         return d_m - best.value
 
 

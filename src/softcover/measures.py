@@ -35,7 +35,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validated_pmf(values, what: str, atol: float = SUM_ATOL) -> np.ndarray:
+def _validated_pmf(values, what: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be a 1-D probability vector")
@@ -47,8 +47,8 @@ def _validated_pmf(values, what: str, atol: float = SUM_ATOL) -> np.ndarray:
         raise ValueError(f"{what} contains a negative entry: {arr.min()}")
     arr[arr < SUPPORT_ATOL] = 0.0
     total = arr.sum()
-    if abs(total - 1.0) > atol:
-        raise ValueError(f"{what} sums to {total!r}, expected 1 within {atol}")
+    if abs(total - 1.0) > SUM_ATOL:
+        raise ValueError(f"{what} sums to {total!r}, expected 1 within {SUM_ATOL}")
     return _freeze(arr)
 
 

@@ -1,10 +1,12 @@
 """Critical thresholds, region classification, tradeoff curves, and
 threshold/rate phase grids built on top of the exponent solvers.
 
-Per rate, the false-alarm exponent is constant up to ``tau_flat``, strictly
-increasing up to ``lambda_max``, and infinite beyond; the missed-detection
-exponent is infinite at or below ``lambda_min``, finite and decreasing up to
-``tau_star = max(0, I(X;Y) - R)``, and zero from there on. Inside the active
+Per rate, ``classify`` tags E_FA flat up to ``tau_flat``, the level of the
+floor minimizer the scan picked (on full-support channels E_FA can stay
+flat above it: ROADMAP item 6), and infinite above ``lambda_max``. It tags
+E_MD infinite at or below ``lambda_min``, the level minimum (at R > 0 the
+gate keeps E_MD infinite above it on full-support channels: ROADMAP item
+11), and zero from ``tau_star = max(0, I(X;Y) - R)``. Inside the active
 missed-detection region the minimizer switches from the bulk branch to the
 sparse branch at ``tau_kink``, and the unconstrained false-alarm minimizer
 switches branch at a critical rate (the cusp of ``tau_flat`` as a function
@@ -258,13 +260,13 @@ def tradeoff_curve(w: Channel, p_in: Distribution, rate: float,
     return TradeoffCurve(points, _envelope(points))
 
 
-def _envelope(points: list[tuple[float, float, float]],
-              value_tol: float = 1e-9) -> list[tuple[float, float]]:
+def _envelope(points: list[tuple[float, float, float]]
+              ) -> list[tuple[float, float]]:
     runs: list[tuple[float, float]] = []
     for _, e_fa, e_md in points:
         if math.isinf(e_fa):
             continue
-        if runs and abs(runs[-1][0] - e_fa) <= value_tol:
+        if runs and abs(runs[-1][0] - e_fa) <= _ZERO_TOL:
             # same flat run; keep its highest missed-detection point, which
             # is the first one encountered since e_md is non-increasing
             continue
@@ -272,7 +274,7 @@ def _envelope(points: list[tuple[float, float, float]],
     out = []
     for e_fa, e_md in runs:
         out.append((e_fa, e_md))
-        if e_md <= value_tol:
+        if e_md <= _ZERO_TOL:
             break
     return out
 

@@ -611,14 +611,6 @@ class SimEstimate:
     seed: int
 
 
-def type_class_size(counts: np.ndarray) -> int:
-    total = int(counts.sum())
-    size = math.factorial(total)
-    for c in counts:
-        size //= math.factorial(int(c))
-    return size
-
-
 def _compositions(total: int, parts: int) -> np.ndarray:
     """Every row of ``parts`` non-negative integers summing to ``total``, in
     lexicographic order."""
@@ -703,25 +695,12 @@ def _log_sum_exp(terms: np.ndarray) -> float:
 
 
 def estimate_error_probs(n: int, rate: float, w: Channel, p_in: Distribution,
-                         tau: float, codebook_trials: int, seed: int,
-                         mode: str = "mc") -> tuple[SimEstimate, SimEstimate]:
-    """Codebook-averaged error probabilities.
-
-    ``mode="mc"`` draws ``codebook_trials`` codebooks (trial ``t`` on its own
-    stream from ``(seed, t)``) and averages the exact per-codebook sums;
-    ``mode="exact-r0"`` requires ``rate == 0`` and returns the exact average
-    over the whole single-codeword ensemble.
-    """
-    _check_seed(seed)
-    if mode == "exact-r0":
-        if rate != 0:
-            raise ValueError("exact-r0 mode requires rate = 0")
-        alpha, beta = exact_r0_error_probs(n, w, p_in, tau)
-        ensemble = type_class_size(quantized_composition(n, p_in))
-        return (SimEstimate(alpha, 0.0, ensemble, seed),
-                SimEstimate(beta, 0.0, ensemble, seed))
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
+                         tau: float, codebook_trials: int, seed: int
+                         ) -> tuple[SimEstimate, SimEstimate]:
+    """Monte Carlo codebook-averaged error probabilities: draws
+    ``codebook_trials`` codebooks (trial ``t`` on its own stream from
+    ``(seed, t)``) and averages the exact per-codebook sums. The exact
+    rate-0 ensemble average is ``exact_r0_error_probs``."""
     results = per_trial_error_probs(n, rate, w, p_in, tau, codebook_trials,
                                     seed)
     return (estimate_from_values([r[0] for r in results], seed),

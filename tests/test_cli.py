@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from softcover import cli
 from softcover.cli import (
     SpecError,
     ZCHANNEL_SPEC,
@@ -110,7 +111,7 @@ def test_exponent_rate_zero_uses_single_codeword_formulas(z_spec_file, capsys):
     assert payload["e_md"] == pytest.approx(0.11503133, abs=1e-4)
 
 
-@pytest.mark.parametrize("flag", [["--grid", "0"], ["--shrink", "0"]])
+@pytest.mark.parametrize("flag", [["--grid", "0"]])
 def test_zero_solver_flags_are_input_errors(z_spec_file, capsys, flag):
     assert main(["exponent", "--spec", z_spec_file, "--tau", "0.1",
                  "--rate", "0.05"] + flag) == 2
@@ -142,9 +143,7 @@ def test_exponent_on_a_channel_beyond_the_default_grid(tmp_path, capsys,
     assert payload["e_fa"] == fa_exponent(w, p_in, 0.1, 0.1).value
     assert payload["e_md"] == md_exponent(w, p_in, 0.1, 0.1).value
     assert payload["manifest"]["solver_config"] == (
-        None if not flags else {"grid_points_per_dim": 17,
-                                "refinement_rounds": 4,
-                                "refinement_shrink": 0.1})
+        None if not flags else {"grid_points_per_dim": 17})
     # a grid solve still needs a grid the channel can take
     assert main(["exponent", "--spec", str(path), "--tau", "-0.1",
                  "--rate", "0.1"]) == 2
@@ -153,21 +152,18 @@ def test_exponent_on_a_channel_beyond_the_default_grid(tmp_path, capsys,
 
 def test_manifest_configuration_of_small_channels_is_unchanged(
         z_spec_file, tmp_path, capsys):
-    # the grid default_config picks, with SolverConfig's own polish settings
+    # the grid default_config picks, or the one --grid gives
     spec_3x2 = tmp_path / "w3x2.channel"
     spec_3x2.write_text(W3X4_SPEC.replace("output_size: 4", "output_size: 2")
                         .replace("0.5 0.2 0.2 0.1 0.1 0.4 0.3 0.2 0.2 0.2 "
                                  "0.1 0.5", "0.9 0.1 0.2 0.8 0.5 0.5"))
     for spec, flags, grid in [(z_spec_file, [], 401),
                               (str(spec_3x2), [], 61),
-                              (z_spec_file, ["--refine", "2"], 401)]:
+                              (z_spec_file, ["--grid", "101"], 101)]:
         assert main(["exponent", "--spec", spec, "--tau", "0.1",
                      "--rate", "0.05", "--which", "fa"] + flags) == 0
         manifest = json.loads(capsys.readouterr().out)["manifest"]
-        assert manifest["solver_config"] == {
-            "grid_points_per_dim": grid,
-            "refinement_rounds": 2 if flags else 4,
-            "refinement_shrink": 0.1}
+        assert manifest["solver_config"] == {"grid_points_per_dim": grid}
 
 
 def test_missing_spec_file_is_input_error(capsys):
@@ -379,9 +375,17 @@ def test_verify_zchannel_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_zchannel_fails_with_crippled_solver(capsys):
-    # a deliberately coarse configuration cannot reproduce the checkpoints
-    code = main(["verify-zchannel", "--grid", "17", "--refine", "0"])
+def test_verify_zchannel_fails_on_a_wrong_expected_value(capsys,
+                                                         monkeypatch):
+    # the table must report a checkpoint it cannot reproduce
+    checks = list(cli.ZCHANNEL_CHECKS)
+    name, expected, tol = checks[0]
+    checks[0] = (name, expected + 10 * tol, tol)
+    monkeypatch.setattr(cli, "ZCHANNEL_CHECKS", checks)
+    code = main(["verify-zchannel", "--grid", "17"])
     out = capsys.readouterr().out
     assert code == 4
-    assert "FAIL" in out
+    assert [line.split()[0] for line in out.splitlines()
+            if line.endswith("FAIL")] == [name]
+    assert out.count("PASS") == 7
+    assert "1 checkpoint(s) failed" in out

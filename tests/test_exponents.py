@@ -39,8 +39,6 @@ Z_MD_R0_TAU005 = 0.11503133
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(grid_points_per_dim=5)
-    with pytest.raises(ValueError):
-        SolverConfig(refinement_shrink=1.5)
 
 
 def test_default_config_scales_with_dimension(zchannel, random_2x3_channels):

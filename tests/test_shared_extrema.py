@@ -97,7 +97,7 @@ def test_another_key_solves_the_extrema_anew(zchannel, uniform2, extrema,
     if other == "rate":
         rate = 0.1 + 1e-9
     elif other == "config":
-        cfg = SolverConfig(refinement_rounds=3)
+        cfg = SolverConfig(grid_points_per_dim=101)
     else:
         w = Channel([[1.0, 0.0], [0.45 + 1e-9, 0.55 - 1e-9]])
     assert _solves_in(solves,

@@ -30,7 +30,6 @@ from softcover.simulate import (
     codebook_size,
     exact_error_probs,
     joint_type_counts,
-    type_class_size,
 )
 
 from _oracles import (
@@ -679,19 +678,6 @@ def test_exact_r0_matches_full_ensemble_average(zchannel, uniform2):
     assert got[1] == pytest.approx(want_b, abs=1e-12)
 
 
-def test_estimate_error_probs_exact_r0_mode(zchannel, uniform2):
-    alpha, beta = estimate_error_probs(8, 0.0, zchannel, uniform2, 0.0,
-                                       codebook_trials=1, seed=5,
-                                       mode="exact-r0")
-    assert alpha.mean == pytest.approx(Z_N8_ALPHA, abs=1e-12)
-    assert beta.mean == pytest.approx(Z_N8_BETA, abs=1e-12)
-    assert alpha.std_error == 0.0
-    assert alpha.trials == type_class_size(np.array([4, 4]))
-    with pytest.raises(ValueError, match="rate = 0"):
-        estimate_error_probs(8, 0.1, zchannel, uniform2, 0.0, 1, 5,
-                             mode="exact-r0")
-
-
 def test_estimates_reproducible(zchannel, uniform2):
     a1, b1 = estimate_error_probs(8, 0.2, zchannel, uniform2, 0.05,
                                   codebook_trials=12, seed=77)
@@ -769,15 +755,14 @@ def test_a_negative_seed_fails_before_any_table(bsc, uniform2, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [-1, (4, -1)])
-@pytest.mark.parametrize("entry", ["sample_codebook", "mc", "exact-r0"])
+@pytest.mark.parametrize("entry", ["sample_codebook", "mc"])
 def test_every_entry_point_rejects_a_negative_seed(entry, seed, bsc,
                                                    uniform2):
     with pytest.raises(ValueError) as info:
         if entry == "sample_codebook":
             sample_codebook(8, 0.05, uniform2, seed)
         else:
-            estimate_error_probs(8, 0.05 if entry == "mc" else 0.0, bsc,
-                                 uniform2, 0.05, 4, seed, mode=entry)
+            estimate_error_probs(8, 0.05, bsc, uniform2, 0.05, 4, seed)
     assert str(info.value) == f"seed must be >= 0, got {seed}"
 
 

@@ -228,7 +228,7 @@ def test_fa_builds_one_bundle_per_stage_for_both_branches(zchannel, uniform2,
     calls = {"__init__": 0}
     _count_calls(monkeypatch, exponents._Bundle, "__init__", calls)
     got = problem.fa(tau)
-    assert calls["__init__"] == (1 + problem.cfg.refinement_rounds
+    assert calls["__init__"] == (1 + exponents._POLISH_ROUNDS
                                  if tau < 0 else 0)
     assert (got.value, got.branch) == (want.value, want.branch)
 
@@ -243,7 +243,7 @@ def test_gated_md_looks_up_the_ceiling_once_per_block(zchannel, uniform2,
     _count_calls(monkeypatch, _CeilingGate, "values", calls)
     _count_calls(monkeypatch, exponents._Bundle, "at_rate", calls)
     problem.md(-0.03)
-    blocks = 1 + len(problem._base()) + problem.cfg.refinement_rounds
+    blocks = 1 + len(problem._base()) + exponents._POLISH_ROUNDS
     assert calls == {"values": blocks, "at_rate": blocks}
 
 

@@ -52,11 +52,12 @@ def test_exponents_has_one_scan_and_one_polish_loop():
                and node.func.value.id == "np"]
     shrinks = [node for node in ast.walk(tree)
                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-               and isinstance(node.left, ast.Attribute)
-               and node.left.attr == "refinement_shrink"]
+               and isinstance(node.left, ast.Name)
+               and node.left.id == "_POLISH_SHRINK"]
     assert len(argmins) <= 1, f"np.argmin at lines {[n.lineno for n in argmins]}"
-    assert len(shrinks) <= 1, \
-        f"refinement_shrink ** at lines {[n.lineno for n in shrinks]}"
+    # exactly one: a rule that counts nothing would pass on any loop
+    assert len(shrinks) == 1, \
+        f"_POLISH_SHRINK ** at lines {[n.lineno for n in shrinks]}"
 
 
 def test_monte_carlo_calls_the_module_hooks_once_per_group(zchannel,
