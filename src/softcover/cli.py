@@ -347,6 +347,8 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {args.seed}")
     spec, spec_text = load_spec(args.spec)
     w, p_in = spec.to_channel()
     bits = args.bits

@@ -18,10 +18,15 @@ type at ``tau > 0`` has ``I_V > R``, so its cost is ``D(V || P_Y | P) - R``,
 minimized by the tilt ``V_s(y|x) ∝ P_Y(y) exp(s i(x, y))``; the set is empty
 beyond the edge ``sum_x P(x) max_y i(x, y)``, where the level maximum
 ``[edge - R]_+`` lies. Both tilts are found exactly by one 1-D root search
-with no grid, so the solver configuration has no effect there. The grid
-below serves the false-alarm exponent at ``R > 0`` and ``tau <= 0``, the
-gated missed-detection exponent (``R > 0``, ``tau <= 0``), the level
-minima, the bulk branch's level maximum and the interference level.
+with no grid, so the solver configuration has no effect there. The gated
+missed-detection exponent (``R > 0``, ``tau <= 0``) on a channel with two
+outputs is exact too: the tilt at ``tau + R`` when the interference
+ceiling at its output marginal is at most ``tau``, otherwise a search over
+the output marginal, one number there (``marginals``). The grid below
+serves the false-alarm exponent at ``R > 0`` and ``tau <= 0``, the gated
+missed-detection exponent on channels with three or more outputs, the
+level minima (the infinite edge of every gated missed-detection exponent),
+the bulk branch's level maximum and the interference level.
 
 The generic solver lays a dense grid over the free conditional coordinates
 (one simplex per input symbol), splits the non-smooth clipped rate term into
@@ -66,6 +71,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import marginals
 from ._memo import Memo
 from .measures import (
     SUPPORT_ATOL,
@@ -790,13 +796,17 @@ class Problem:
         half-space ``E_V[i] <= tau + R``, and ``_md_tilt`` returns its exact
         minimum, Hoeffding's tilt of ``W``, to root-finding tolerance; the
         grid and ``cfg`` are not used. Otherwise (``R > 0``, ``tau <= 0``)
-        it is infinite at or below ``level_min()``, and above it the grid
-        solver runs with the interference-ceiling gate."""
+        it is infinite at or below ``level_min()``. Above it, on a
+        two-output channel ``_md_marginals`` answers exactly, and on
+        three or more outputs the grid solver runs with the
+        interference-ceiling gate."""
         if tau > 0 or self.rate == 0:
             return self._md_tilt(tau + self.rate)
         bottom = self.level_min()
         if not bottom.value < tau:
             return ExponentResult(math.inf, None, None, False)
+        if self.w.num_outputs == 2:
+            return self._md_marginals(tau)
 
         def base(b):
             mask = np.isfinite(b.d_c) & (b.lam <= tau)
@@ -810,6 +820,31 @@ class Problem:
             base, [(_d_c, branch, self._seeds(self.level_min(branch), bottom))
                    for branch in (BULK, SPARSE)]))
 
+    def _md_marginals(self, tau: float) -> ExponentResult:
+        """Gated missed-detection exponent on a two-output channel, exactly
+        (see ``marginals``): Hoeffding's tilt at ``tau + R`` when the
+        interference ceiling at its output marginal is at most ``tau``,
+        otherwise the search over the output marginal. The ceiling bounds
+        the mutual information by ``R + _BRANCH_TOL``, the branch test's
+        rate, so that a reported minimizer clears the exact ceiling."""
+        t = tau + self.rate
+        rows = self._md_tilt_rows(t)
+        if rows is None:
+            return ExponentResult(math.inf, None, None, False)
+        info = self._info
+        fibers = marginals.Fibers(self.w.rows[info.live], info.support,
+                                  info.p, self.p_out.probs)
+        rate = self.rate + _BRANCH_TOL
+        q_s = float(info.p @ rows[:, 0])
+        if fibers.ceiling(np.array([q_s]), rate)[0] > tau:
+            u = marginals.search(fibers, tau, rate, t, q_s)
+            if u is None:
+                return ExponentResult(math.inf, None, None, False)
+            free = info.support.all(axis=1)
+            rows = np.where(info.support, 1.0, 0.0)
+            rows[free] = np.column_stack([u, 1.0 - u])
+        return self._md_result(rows)
+
     def _md_tilt(self, t: float) -> ExponentResult:
         """Minimum of ``D_c`` over the half-space ``E_V[i] <= t``.
 
@@ -817,13 +852,26 @@ class Problem:
         over the support, the level minimum; the minimizer is ``W`` when
         ``I(X;Y) <= t``, otherwise the tilt ``V_s`` whose mean meets ``t``.
         Inputs with no mass keep their row of ``W``."""
-        info, p, w = self._info, self.p_in.probs, self.w.rows
-        if not t > info.edge(top=False):
+        rows = self._md_tilt_rows(t)
+        if rows is None:
             return ExponentResult(math.inf, None, None, False)
+        return self._md_result(rows)
+
+    def _md_tilt_rows(self, t: float) -> Optional[np.ndarray]:
+        """The rows of ``_md_tilt``'s minimizer on the inputs with mass,
+        None where it is infeasible."""
+        info = self._info
+        if not t > info.edge(top=False):
+            return None
         s, rows = _tilt_root(info.p, info.log_w, info.info, t)
+        return rows if s > 0 else self.w.rows[info.live]
+
+    def _md_result(self, rows: np.ndarray) -> ExponentResult:
+        """The missed-detection result with ``rows`` on the inputs with
+        mass, valued by ``D_c``."""
+        w, p = self.w.rows, self.p_in.probs
         return self._tilt_result(
-            rows if s > 0 else None,
-            lambda cond, i_q: float(cond_kl_vec(cond, w, p)))
+            rows, lambda cond, i_q: float(cond_kl_vec(cond, w, p)))
 
     def _fa_tilt(self, t: float) -> ExponentResult:
         """Minimum of the false-alarm cost over the half-space
@@ -853,16 +901,13 @@ class Problem:
             rows, lambda cond, i_q: float(kl_vec(mix_vec(cond, p), p_y))
             + max(i_q - self.rate, 0.0))
 
-    def _tilt_result(self, rows: Optional[np.ndarray], cost
-                     ) -> ExponentResult:
-        """The joint type with ``rows`` on the inputs with mass (by default
-        the channel's) and the channel's rows elsewhere, valued by
-        ``cost(conditional, I)``. The branch tag follows ``_result``: bulk
-        when the mutual information is at most the rate, up to
-        ``_BRANCH_TOL``."""
+    def _tilt_result(self, rows: np.ndarray, cost) -> ExponentResult:
+        """The joint type with ``rows`` on the inputs with mass and the
+        channel's rows elsewhere, valued by ``cost(conditional, I)``. The
+        branch tag follows ``_result``: bulk when the mutual information is
+        at most the rate, up to ``_BRANCH_TOL``."""
         cond = np.array(self.w.rows)
-        if rows is not None:
-            cond[self._info.live] = rows
+        cond[self._info.live] = rows
         minimizer = JointType(self.p_in, cond)
         i_q = float(mutual_information_vec(minimizer.conditional,
                                            self.p_in.probs))
@@ -929,7 +974,12 @@ def md_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
     exact to root-finding tolerance, not limited by grid resolution, and
     ``cfg`` has no effect on it. For ``tau <= 0`` candidates must keep the
     interference ceiling of their output marginal below ``tau`` too, and
-    the grid solver with ``cfg`` runs.
+    the value is infinite at or below the grid's level minimum. Above it,
+    on a channel with two outputs, the answer is exact: the tilt at ``tau +
+    rate`` when the ceiling at its output marginal is at most ``tau``,
+    otherwise a search over the output marginal (``softcover.marginals``);
+    ``cfg`` enters only through the level minimum. On three or more
+    outputs the grid solver with ``cfg`` runs.
     """
     if rate == 0:
         raise ValueError(

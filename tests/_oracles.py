@@ -445,3 +445,42 @@ def fa_tilt_dual(rows, p_in, t):
                             bounds=(0.0 if top == 1 else top / 2, 2 * top),
                             method="bounded", options={"xatol": 1e-13})
     return max(dual(float(found.x)), dual(0.0))
+
+
+# ---------------------------------------------------------------------------
+# interference ceiling of a two-input, two-output channel by a dense scan of
+# the fiber segment {V : P V = q}
+# ---------------------------------------------------------------------------
+
+def _binary_kl(u, v):
+    """d(u || v) elementwise over ``u`` for one reference ``v`` in [0, 1];
+    ``inf`` where ``u`` puts mass where ``v`` has none."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(u > 0, u * (np.log(u) - np.log(v)), 0.0)
+        b = np.where(u < 1, (1 - u) * (np.log1p(-u) - np.log1p(-v)), 0.0)
+    return a + b
+
+
+def fiber_ceiling_scan(rows, p_in, q0, rate, grid=200_001):
+    """``D(q || P_Y) - min {D_c : P V = q, I <= rate}`` at the output
+    marginal ``q = (q0, 1 - q0)`` of a channel with two inputs (both with
+    mass) and two outputs, ``-inf`` when no scanned type has ``I <= rate``.
+
+    The fiber is a segment: ``u0 = V(0|0)`` runs over ``grid`` points of
+    the interval that keeps ``u1 = (q0 - P(0) u0) / P(1)`` in [0, 1], ends
+    included. The scan takes the least ``D_c`` over a finite subset of the
+    rate-feasible types, so it can only underestimate the ceiling."""
+    w = np.asarray(rows, dtype=float)
+    p = np.asarray(p_in, dtype=float)
+    p_y0 = float(p @ w[:, 0])
+    lo = max(0.0, (q0 - p[1]) / p[0])
+    hi = min(1.0, q0 / p[0])
+    u0 = np.linspace(lo, hi, grid)
+    u1 = np.clip((q0 - p[0] * u0) / p[1], 0.0, 1.0)
+    d_c = p[0] * _binary_kl(u0, w[0, 0]) + p[1] * _binary_kl(u1, w[1, 0])
+    i_q = hb(q0) - p[0] * hb(u0) - p[1] * hb(u1)
+    feasible = np.isfinite(d_c) & (i_q <= rate)
+    if not feasible.any():
+        return -math.inf
+    return float(_binary_kl(q0, p_y0)) - float(d_c[feasible].min())

@@ -346,12 +346,15 @@ def test_simulate_exact_r0_at_a_positive_rate_is_an_input_error(
 
 def test_simulate_with_a_negative_seed_is_an_input_error(z_spec_file,
                                                         tmp_path, capsys):
+    # in both modes, although exact-r0 mode draws nothing from the seed
     out = tmp_path / "sim.csv"
-    assert main(["simulate", "--spec", z_spec_file, "--n", "8", "--rate",
-                 "0.2", "--tau", "0.05", "--seed", "-1",
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
-    assert not out.exists()
+    for mode, rate in (("mc", "0.2"), ("exact-r0", "0")):
+        assert main(["simulate", "--spec", z_spec_file, "--n", "8", "--rate",
+                     rate, "--tau", "0.05", "--seed", "-1", "--mode", mode,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
 
 def test_simulate_deterministic_across_threads(z_spec_file, tmp_path, capsys,

@@ -189,5 +189,6 @@ def test_no_grid_at_positive_tau_or_rate_zero(monkeypatch, zchannel, bsc,
     monkeypatch.setattr(Problem, "fa", lambda self, tau: sentinel)
     fa, md = r0_exponents(zchannel, uniform2, 0.05)
     assert fa is sentinel and md.feasible
+    # gated E_MD on three outputs still runs the grid
     with pytest.raises(AssertionError, match="grid solver"):
-        md_exponent(zchannel, uniform2, -0.02, 0.05)
+        md_exponent(w2x3, uniform2, -0.02, 0.05)

@@ -233,16 +233,17 @@ def test_fa_builds_one_bundle_per_stage_for_both_branches(zchannel, uniform2,
     assert (got.value, got.branch) == (want.value, want.branch)
 
 
-def test_gated_md_looks_up_the_ceiling_once_per_block(zchannel, uniform2,
-                                                      monkeypatch):
-    # both branches are feasible here; every block, seeds, base grid and
-    # polish rounds alike, is rated once and gated once for both
-    problem = Problem(zchannel, uniform2, 0.05)
-    problem.md(-0.02)
+def test_gated_md_looks_up_the_ceiling_once_per_block(random_2x3_channels,
+                                                      uniform2, monkeypatch):
+    # every block, seeds, base grid and polish rounds alike, is rated once
+    # and gated once for both branches (a channel with three outputs: on
+    # two, gated E_MD runs no grid)
+    problem = Problem(random_2x3_channels[0], uniform2, 0.1, CFG17)
+    problem.md(-0.03)
     calls = {"values": 0, "at_rate": 0}
     _count_calls(monkeypatch, _CeilingGate, "values", calls)
     _count_calls(monkeypatch, exponents._Bundle, "at_rate", calls)
-    problem.md(-0.03)
+    problem.md(-0.06)
     blocks = 1 + len(problem._base()) + exponents._POLISH_ROUNDS
     assert calls == {"values": blocks, "at_rate": blocks}
 
