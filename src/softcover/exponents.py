@@ -18,15 +18,20 @@ type at ``tau > 0`` has ``I_V > R``, so its cost is ``D(V || P_Y | P) - R``,
 minimized by the tilt ``V_s(y|x) ∝ P_Y(y) exp(s i(x, y))``; the set is empty
 beyond the edge ``sum_x P(x) max_y i(x, y)``, where the level maximum
 ``[edge - R]_+`` lies. Both tilts are found exactly by one 1-D root search
-with no grid, so the solver configuration has no effect there. The gated
-missed-detection exponent (``R > 0``, ``tau <= 0``) on a channel with two
-outputs is exact too: the tilt at ``tau + R`` when the interference
-ceiling at its output marginal is at most ``tau``, otherwise a search over
-the output marginal, one number there (``marginals``). The grid below
-serves the false-alarm exponent at ``R > 0`` and ``tau <= 0``, the gated
-missed-detection exponent on channels with three or more outputs, the
-level minima (the infinite edge of every gated missed-detection exponent),
-the bulk branch's level maximum and the interference level.
+with no grid, so the solver configuration has no effect there. On a
+channel with two outputs the output marginal is one number, and at ``R >
+0`` and ``tau <= 0`` both exponents and the interference level are exact
+too (``marginals``): the gated missed-detection exponent is the tilt at
+``tau + R`` when the interference ceiling at its output marginal is at
+most ``tau``, otherwise a search over the output marginal; the
+false-alarm exponent is the smaller of the false-alarm tilt at ``tau +
+R``, when its mutual information exceeds ``R``, and a convex search over
+the output marginal of the bulk piece ``D_m - D_c >= tau``. The grid below
+serves both exponents at ``R > 0`` and ``tau <= 0`` and the interference
+level on channels with three or more outputs, and on every channel the
+level minima (``lambda_extrema``, the phase layer and the infinite edge of
+gated missed detection on three or more outputs) and the bulk branch's
+level maximum.
 
 The generic solver lays a dense grid over the free conditional coordinates
 (one simplex per input symbol), splits the non-smooth clipped rate term into
@@ -556,7 +561,9 @@ class Problem:
     """Both exponent problems for one channel, input distribution, rate and
     solver configuration.
 
-    The output marginal is derived once. The level extrema (the minima and
+    On a channel with two outputs no exponent and no interference level
+    runs the grid; there only ``level_min`` and ``_bulk_max`` do. The
+    output marginal is derived once. The level extrema (the minima and
     the bulk maximum), which seed the exponent solves, do not depend on the
     threshold: the first request solves all of them at once and keeps them
     in ``_EXTREMA`` per channel, input, rate and configuration, which every
@@ -597,6 +604,13 @@ class Problem:
             log_p_y = np.where(support, np.log(self.p_out.probs), -np.inf)
             info = np.where(support, log_w - log_p_y, 0.0)
         return _Info(live, p[live], support, log_w, log_p_y, info)
+
+    @cached_property
+    def _fibers(self) -> marginals.Fibers:
+        """The fibers of a two-output channel (see ``marginals``)."""
+        info = self._info
+        return marginals.Fibers(self.w.rows[info.live], info.support,
+                                info.p, self.p_out.probs)
 
     @cached_property
     def _law(self) -> _Law:
@@ -776,10 +790,14 @@ class Problem:
         When ``tau > 0`` or the rate is zero the feasible set is the
         half-space ``E_V[i] >= tau + R``, and ``_fa_tilt`` returns its exact
         minimum to root-finding tolerance; the grid and ``cfg`` are not
-        used. Otherwise (``R > 0``, ``tau <= 0``) the grid solver runs,
-        its bulk branch seeded with the bulk level maximum."""
+        used. Otherwise (``R > 0``, ``tau <= 0``) ``_fa_marginals``
+        answers exactly on a two-output channel, and on three or more
+        outputs the grid solver runs, its bulk branch seeded with the bulk
+        level maximum."""
         if tau > 0 or self.rate == 0:
             return self._fa_tilt(tau + self.rate)
+        if self.w.num_outputs == 2:
+            return self._fa_marginals(tau)
 
         def base(b):
             return np.isfinite(b.lam) & (b.lam >= tau)
@@ -796,17 +814,17 @@ class Problem:
         half-space ``E_V[i] <= tau + R``, and ``_md_tilt`` returns its exact
         minimum, Hoeffding's tilt of ``W``, to root-finding tolerance; the
         grid and ``cfg`` are not used. Otherwise (``R > 0``, ``tau <= 0``)
-        it is infinite at or below ``level_min()``. Above it, on a
-        two-output channel ``_md_marginals`` answers exactly, and on
-        three or more outputs the grid solver runs with the
-        interference-ceiling gate."""
+        ``_md_marginals`` answers exactly on a two-output channel. On three
+        or more outputs it is infinite at or below ``level_min()``, and
+        above it the grid solver runs with the interference-ceiling
+        gate."""
         if tau > 0 or self.rate == 0:
             return self._md_tilt(tau + self.rate)
+        if self.w.num_outputs == 2:
+            return self._md_marginals(tau)
         bottom = self.level_min()
         if not bottom.value < tau:
             return ExponentResult(math.inf, None, None, False)
-        if self.w.num_outputs == 2:
-            return self._md_marginals(tau)
 
         def base(b):
             mask = np.isfinite(b.d_c) & (b.lam <= tau)
@@ -826,24 +844,69 @@ class Problem:
         interference ceiling at its output marginal is at most ``tau``,
         otherwise the search over the output marginal. The ceiling bounds
         the mutual information by ``R + _BRANCH_TOL``, the branch test's
-        rate, so that a reported minimizer clears the exact ceiling."""
+        rate, so that a reported minimizer clears the exact ceiling. It is
+        infinite where no type qualifies, and, when the fiber of every
+        marginal is a point, at or below the level minimum
+        (``_point_level_min``), where no type has a level below ``tau``."""
         t = tau + self.rate
         rows = self._md_tilt_rows(t)
-        if rows is None:
+        fibers = self._fibers
+        if rows is None or (fibers.p.size < 2
+                            and not self._point_level_min() < tau):
             return ExponentResult(math.inf, None, None, False)
-        info = self._info
-        fibers = marginals.Fibers(self.w.rows[info.live], info.support,
-                                  info.p, self.p_out.probs)
         rate = self.rate + _BRANCH_TOL
-        q_s = float(info.p @ rows[:, 0])
+        q_s = float(self._info.p @ rows[:, 0])
         if fibers.ceiling(np.array([q_s]), rate)[0] > tau:
             u = marginals.search(fibers, tau, rate, t, q_s)
             if u is None:
                 return ExponentResult(math.inf, None, None, False)
-            free = info.support.all(axis=1)
-            rows = np.where(info.support, 1.0, 0.0)
-            rows[free] = np.column_stack([u, 1.0 - u])
+            rows = fibers.conditional(u)
         return self._md_result(rows)
+
+    def _point_level_min(self) -> float:
+        """The level minimum of a two-output channel whose fiber is a point
+        at every marginal (at most one free row). Along that segment of
+        types the level is ``D_m - D_c``, concave, where ``I <= R`` and
+        ``E_V[i] - R``, linear, elsewhere, so it is least at an end of the
+        range or where ``I = R`` (``marginals.Fibers.level_candidates``)."""
+        rows = self._fibers.level_candidates(self.rate)
+        cond = np.repeat(self.w.rows[None], len(rows), axis=0)
+        cond[:, self._info.live] = rows
+        p = self.p_in.probs
+        level = (kl_vec(mix_vec(cond, p), self.p_out.probs)
+                 - cond_kl_vec(cond, self.w.rows, p)
+                 + np.maximum(mutual_information_vec(cond, p) - self.rate,
+                              0.0))
+        return float(level.min())
+
+    def _fa_marginals(self, tau: float) -> ExponentResult:
+        """False-alarm exponent on a two-output channel at ``R > 0`` and
+        ``tau <= 0``, exactly (see ``marginals``).
+
+        The feasible set is the bulk piece ``{D_m - D_c >= tau}``, which
+        holds ``W``, joined with the sparse piece ``{E_V[i] >= tau + R}``.
+        A sparse type with ``I <= R`` has ``D_m - D_c = E_V[i] - I >= tau``,
+        so it is in the bulk piece too; over the sparse types with ``I >=
+        R`` the cost is ``D(V || P_Y | P) - R``, least at the tilt
+        ``_fa_tilt(tau + R)`` when its ``I`` is at least ``R``, and
+        otherwise on ``I = R``, in the bulk piece again. So the answer is
+        the smaller of that tilt, when its ``I`` exceeds ``R``, and
+        ``marginals.false_alarm`` over the bulk piece; a tie goes to the
+        tilt. A tilt at ``s = 0`` minimizes ``D(V || P_Y | P)`` over every
+        type, so then it is the answer outright."""
+        tilt = self._fa_tilt_rows(tau + self.rate)
+        sparse = None
+        if tilt is not None:
+            sparse = self._fa_result(tilt[1])
+            if sparse.branch != SPARSE:
+                sparse = None
+            elif tilt[0] == 0:
+                return sparse
+        bulk = self._fa_result(marginals.false_alarm(self._fibers, tau,
+                                                     self.rate))
+        if sparse is not None and sparse.value <= bulk.value:
+            return sparse
+        return bulk
 
     def _md_tilt(self, t: float) -> ExponentResult:
         """Minimum of ``D_c`` over the half-space ``E_V[i] <= t``.
@@ -887,16 +950,30 @@ class Problem:
         the edge its limit, ``P_Y`` on each row's argmax set of ``i``.
         Inputs with no mass keep their row of ``W``. The value is the cost
         of the minimizer."""
-        info, p, p_y = self._info, self.p_in.probs, self.p_out.probs
+        tilt = self._fa_tilt_rows(t)
+        if tilt is None:
+            return ExponentResult(math.inf, None, None, False)
+        return self._fa_result(tilt[1])
+
+    def _fa_tilt_rows(self, t: float
+                      ) -> Optional[tuple[float, np.ndarray]]:
+        """The tilt ``s`` (``inf`` at the edge) and the rows of
+        ``_fa_tilt``'s minimizer on the inputs with mass, None where it is
+        infeasible."""
+        info = self._info
         top = info.edge(top=True)
         if not t <= top:
-            return ExponentResult(math.inf, None, None, False)
+            return None
         if t == top:
             peak = info.support & (info.info == info.row_edges(True)[:, None])
-            rows = np.where(peak, p_y, 0.0)
-            rows /= rows.sum(axis=1, keepdims=True)
-        else:
-            _, rows = _tilt_root(info.p, info.log_p_y, -info.info, -t)
+            rows = np.where(peak, self.p_out.probs, 0.0)
+            return math.inf, rows / rows.sum(axis=1, keepdims=True)
+        return _tilt_root(info.p, info.log_p_y, -info.info, -t)
+
+    def _fa_result(self, rows: np.ndarray) -> ExponentResult:
+        """The false-alarm result with ``rows`` on the inputs with mass,
+        valued by ``D_m + [I - R]_+``."""
+        p, p_y = self.p_in.probs, self.p_out.probs
         return self._tilt_result(
             rows, lambda cond, i_q: float(kl_vec(mix_vec(cond, p), p_y))
             + max(i_q - self.rate, 0.0))
@@ -925,11 +1002,19 @@ class Problem:
                      [_d_c], lambda f: f.feasible, [best])[0]
 
     def interference_level(self, q_out: np.ndarray) -> float:
-        """Polished interference level of the output marginal ``q_out`` (see
-        the module function ``interference_level``)."""
+        """Interference level of the output marginal ``q_out`` (see the
+        module function ``interference_level``): exact on two outputs, a
+        polished fiber grid on more."""
         d_m = float(kl_vec(q_out, self.p_out.probs))
         if not math.isfinite(d_m):
             return -math.inf
+        if self.w.num_outputs == 2:
+            fibers = self._fibers
+            q = float(q_out[0])
+            if not fibers.lo - _SIMPLEX_TOL <= q <= fibers.hi + _SIMPLEX_TOL:
+                return -math.inf
+            q = min(max(q, fibers.lo), fibers.hi)
+            return float(fibers.ceiling(np.array([q]), self.rate)[0])
         inputs = _fiber_order(self.p_in.probs)[:-1]
 
         def evaluate(rows, counts, bests):
@@ -956,8 +1041,12 @@ def fa_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
     ``I_Q >= E_V[i] > rate``; the minimum is the tilt ``P_Y exp(s i)``,
     found by a 1-D root search: exact to root-finding tolerance, and
     ``cfg`` has no effect on it. It is infeasible exactly when
-    ``tau + rate > sum_x P(x) max_y i(x, y)``. For ``tau <= 0`` the grid
-    solver with ``cfg`` runs.
+    ``tau + rate > sum_x P(x) max_y i(x, y)``. For ``tau <= 0`` it is
+    finite, since ``W`` has level 0. On a channel with two outputs the
+    answer is exact there too (``softcover.marginals``) and ``cfg`` has no
+    effect; when the least cost has ``I_Q <= rate`` the reported minimizer
+    is the type of largest level among those that attain it. On three or
+    more outputs the grid solver with ``cfg`` runs.
     """
     return Problem(w, p_in, rate, cfg).fa(tau)
 
@@ -973,13 +1062,13 @@ def md_exponent(w: Channel, p_in: Distribution, tau: float, rate: float,
     the minimum is Hoeffding's tilt of ``W``, found by a 1-D root search:
     exact to root-finding tolerance, not limited by grid resolution, and
     ``cfg`` has no effect on it. For ``tau <= 0`` candidates must keep the
-    interference ceiling of their output marginal below ``tau`` too, and
-    the value is infinite at or below the grid's level minimum. Above it,
-    on a channel with two outputs, the answer is exact: the tilt at ``tau +
-    rate`` when the ceiling at its output marginal is at most ``tau``,
-    otherwise a search over the output marginal (``softcover.marginals``);
-    ``cfg`` enters only through the level minimum. On three or more
-    outputs the grid solver with ``cfg`` runs.
+    interference ceiling of their output marginal below ``tau`` too. On a
+    channel with two outputs the answer is exact and ``cfg`` has no
+    effect: the tilt at ``tau + rate`` when the ceiling at its output
+    marginal is at most ``tau``, otherwise a search over the output
+    marginal (``softcover.marginals``), infinite where no type qualifies.
+    On three or more outputs the value is infinite at or below the grid's
+    level minimum, and above it the grid solver with ``cfg`` runs.
     """
     if rate == 0:
         raise ValueError(
@@ -1061,10 +1150,11 @@ def interference_level(q_out: Distribution, w: Channel, p_in: Distribution,
     and mutual information at most ``rate``.
 
     Returns ``-inf`` when no channel-compatible type meets both constraints;
-    the data-processing inequality caps the value at zero otherwise. Uses the
-    fiber parameterization (all conditional rows free except the last, which
-    is solved from the marginal constraint) with the same shrinking-box
-    polish as the exponent solvers.
+    the data-processing inequality caps the value at zero otherwise. On a
+    channel with two outputs it is exact (``softcover.marginals.Fibers``).
+    On three or more it uses the fiber parameterization (all conditional
+    rows free except the last, which is solved from the marginal
+    constraint) with the same shrinking-box polish as the exponent solvers.
     """
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")

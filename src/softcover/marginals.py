@@ -1,5 +1,5 @@
-"""Gated missed-detection exponent on two-output channels, by a search over
-the output marginal.
+"""Both error exponents at ``R > 0`` and ``tau <= 0`` and the interference
+ceiling on two-output channels, by searches over the output marginal.
 
 On a channel with outputs {0, 1} a conditional type is one number per input
 with mass, ``u_x = V(0|x)``, and its output marginal one number, ``q = sum_x
@@ -24,14 +24,31 @@ is the smaller ``F_t`` at the two points of ``{ceiling <= tau}`` nearest
 ``q_s``, one on each side: ``search`` finds them on a fixed lattice of
 marginals and refines the bracket of each.
 
-Both inner problems are I-projections onto a fiber (Csiszár, Ann. Probab.
+The false-alarm exponent minimizes ``D(q || P_Y) + [I - R]_+`` over types
+of level at least ``tau``: the bulk piece ``{D_m - D_c >= tau}``, which
+holds ``W``, and the sparse piece ``{E_V[i] >= t}``. A sparse type with
+``I <= R`` has ``D_m - D_c = E_V[i] - I >= tau`` and lies in the bulk
+piece, and over the sparse types with ``I >= R`` the cost is ``D(V || P_Y |
+P) - R``, least at the false-alarm tilt at ``t`` when its ``I`` is at least
+``R`` and otherwise on ``I = R``, in the bulk piece again. So the exponent
+is the smaller of that tilt and
+
+    min over q of D(q || P_Y) + [J(q) - R]_+,
+    J(q) = min {I : P V = q, D_c <= D(q || P_Y) - tau},
+
+a convex function of ``q`` (the bulk piece is convex, since ``D_m - D_c``
+is concave), which ``false_alarm`` minimizes; ``J`` is the least ``I`` on
+the fiber under a ceiling on ``D_c``.
+
+All inner problems are I-projections onto a fiber (Csiszár, Ann. Probab.
 1975). Rows whose support is one output are forced to it; the free rows of
 every minimizer lie on one family ``u_x = sigmoid(a l_x + b)``, ``l_x =
 logit W(0|x)``, where ``b`` meets the marginal and is a monotone scalar root.
 The ceiling's minimizer has ``a = 1 / (1 + s)`` in (0, 1], ``s >= 0`` the
 multiplier of ``I <= R``, and ``I`` rises with ``a``; ``F_t``'s has ``a <=
-1``, and ``E_V[i]`` rises with ``a``. With one free row, as on the
-Z-channel, the fiber is a point and everything is closed form.
+1``, and ``E_V[i]`` rises with ``a``; ``J``'s has ``a`` in [0, 1], where
+``D_c`` falls as ``a`` rises. With one free row, as on the Z-channel, the
+fiber is a point and everything is closed form.
 """
 
 from __future__ import annotations
@@ -106,6 +123,7 @@ class Fibers:
     def __init__(self, rows: np.ndarray, support: np.ndarray, p: np.ndarray,
                  p_y: np.ndarray):
         free = support.all(axis=1)
+        self.rows, self.support, self.free = rows, support, free
         # the range of q: the rows forced to output 0, and then every free
         # row too
         self.lo = float(p[support[:, 0] & ~free].sum())
@@ -117,7 +135,8 @@ class Fibers:
         self.log_w1 = np.log1p(-w0)
         self.logit = self.log_w - self.log_w1
         self.p_y = p_y
-        self.log_p_y = np.log(p_y)
+        with np.errstate(divide="ignore"):
+            self.log_p_y = np.log(p_y)
         # E_V[i] = e0 + sum over free rows of p u c
         info = np.where(support, np.log(np.where(support, rows, 1.0))
                         - self.log_p_y, 0.0)
@@ -127,6 +146,8 @@ class Fibers:
 
     def _share(self, q: np.ndarray) -> np.ndarray:
         """The mean of the free rows' ``u`` at marginal ``q``, in [0, 1]."""
+        if not self.mass:
+            return np.zeros(q.shape)
         return np.minimum(np.maximum((q - self.lo) / self.mass, 0.0), 1.0)
 
     def min_info(self, q: np.ndarray) -> np.ndarray:
@@ -206,8 +227,7 @@ class Fibers:
         mid = (q_in > self.lo) & (q_in < self.hi)
         if mid.any():
             d_c[mid] = self._ceiling_divergence(q_in[mid], rate)
-        out[inside] = kl_vec(np.stack([q_in, 1.0 - q_in], axis=-1),
-                             self.p_y) - d_c
+        out[inside] = self.divergence(q_in) - d_c
         return out
 
     def _ceiling_divergence(self, q: np.ndarray, rate: float) -> np.ndarray:
@@ -220,20 +240,88 @@ class Fibers:
         d_c, i_q, _ = self.measures(q, u)
         bind = i_q > rate
         if bind.any():
-            qb, start = q[bind], b[bind]
-
-            def fn(a):
-                nonlocal start
-                u, start, db, weight = self._family(qb, a, start)
-                # dI/da = sum_x p_x logit(u_x) du_x/da
-                log_u, log_u1 = _logs(u)
-                slope = (weight * (log_u - log_u1)
-                         * (self.logit + db[..., None])).sum(axis=-1)
-                return self.measures(qb, u)[1] - rate, slope
-
-            a = _root(fn, one[bind], np.zeros(qb.shape), one[bind])
-            d_c[bind] = self.measures(qb, self._family(qb, a, start)[0])[0]
+            qb = q[bind]
+            d_c[bind] = self.measures(qb, self._info_rows(qb, b[bind],
+                                                          rate))[0]
         return d_c
+
+    def _info_rows(self, q: np.ndarray, start: np.ndarray, rate: float
+                   ) -> np.ndarray:
+        """The family's free rows at the slope ``a`` in (0, 1) where ``I =
+        rate``, inside the range where ``I`` exceeds ``rate`` at ``a = 1``;
+        ``start`` holds the offsets ``b`` of ``a = 1``."""
+        def fn(a):
+            nonlocal start
+            u, start, db, weight = self._family(q, a, start)
+            # dI/da = sum_x p_x logit(u_x) du_x/da
+            log_u, log_u1 = _logs(u)
+            slope = (weight * (log_u - log_u1)
+                     * (self.logit + db[..., None])).sum(axis=-1)
+            return self.measures(q, u)[1] - rate, slope
+
+        one = np.ones(q.shape)
+        a = _root(fn, one, np.zeros(q.shape), one)
+        return self._family(q, a, start)[0]
+
+    def divergence(self, q: np.ndarray) -> np.ndarray:
+        """``D(q || P_Y)``."""
+        return kl_vec(np.stack([q, 1.0 - q], axis=-1), self.p_y)
+
+    def conditional(self, u: np.ndarray) -> np.ndarray:
+        """The rows of the type whose free rows are ``u``."""
+        rows = np.where(self.support, 1.0, 0.0)
+        rows[self.free] = np.column_stack([u, 1.0 - u])
+        return rows
+
+    def ceiling_conditional(self, q: float, rate: float) -> np.ndarray:
+        """The rows of ``argmin {D_c : P V = q, I <= rate}``, at a marginal
+        of the range whose fiber holds a type with ``I <= rate``: the type
+        at the mean when the fiber is a point, otherwise the family at ``a
+        = 1`` or at the root of ``I(a) = rate``."""
+        qa = np.array([q])
+        if self.p.size < 2 or not self.lo < q < self.hi:
+            return self.conditional(self._mean_rows(qa)[0])
+        u, b, _, _ = self._family(qa, np.ones(1), np.zeros(1))
+        if self.measures(qa, u)[1][0] > rate:
+            u = self._info_rows(qa, b, rate)
+        return self.conditional(u[0])
+
+    def least_info(self, q: np.ndarray, cap: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """``min {I : P V = q, D_c <= cap}`` at every marginal of ``q`` in
+        the range, ``+inf`` where no type of the fiber has ``D_c <= cap``,
+        and the free rows of the minimizers. Along the family ``D_c`` falls
+        and ``I`` rises with ``a`` in [0, 1], so the minimizer is every free
+        row at the mean (``a = 0``) when that type qualifies, and otherwise
+        the family at the root of ``D_c(a) = cap``."""
+        u = np.array(self._mean_rows(q))
+        d_c, info, _ = self.measures(q, u)
+        info = np.where(d_c <= cap, info, np.inf)
+        bind = np.flatnonzero((d_c > cap) & (q > self.lo) & (q < self.hi))
+        if self.p.size < 2 or not bind.size:
+            return info, u
+        qb, cb = q[bind], cap[bind]
+        one = np.ones(qb.shape)
+        top, start, _, _ = self._family(qb, one, np.zeros(qb.shape))
+        ok = self.measures(qb, top)[0] <= cb
+        if not ok.any():
+            return info, u
+        qb, cb, start, bind = qb[ok], cb[ok], start[ok], bind[ok]
+
+        def fn(a):
+            nonlocal start
+            v, start, db, weight = self._family(qb, a, start)
+            # dD_c/da = sum_x p_x (logit(v_x) - l_x) dv_x/da
+            log_v, log_v1 = _logs(v)
+            slope = (weight * (log_v - log_v1 - self.logit)
+                     * (self.logit + db[..., None])).sum(axis=-1)
+            return cb - self.measures(qb, v)[0], -slope
+
+        one = np.ones(qb.shape)
+        a = _root(fn, one, np.zeros(qb.shape), one)
+        u[bind] = self._family(qb, a, start)[0]
+        info[bind] = self.measures(qb, u[bind])[1]
+        return info, u
 
     def least_divergence(self, q: float, t: float) -> Optional[np.ndarray]:
         """The free rows of ``argmin {D_c : P V = q, E_V[i] <= t}``, None
@@ -276,47 +364,62 @@ class Fibers:
         a = _root(fn, low, low, np.ones(1))
         return self._family(qa, a, start)[0][0]
 
+    def _info(self, q: float) -> float:
+        """``min_info`` of one marginal, without the clip at 0: the ``I``
+        of its type when the fiber is a point."""
+        share = min(max((q - self.lo) / self.mass, 0.0), 1.0)
+        return _h(q) - self.mass * _h(share)
+
+    def _info_slope(self, q: float) -> float:
+        """The derivative of ``_info``, NaN at the ends of the range."""
+        share = min(max((q - self.lo) / self.mass, 0.0), 1.0)
+        if not (0 < share < 1 and 0 < q < 1):
+            return math.nan
+        return (math.log(share) - math.log1p(-share)
+                - math.log(q) + math.log1p(-q))
+
+    def level_candidates(self, rate: float) -> np.ndarray:
+        """The rows of the types at the ends of the range and at the roots
+        of ``min_info(q) = rate``: with at most one free row, the types
+        where the level can be least."""
+        q = np.array([self.lo, self.hi] + self.jumps(rate))
+        return np.array([self.conditional(u) for u in self._mean_rows(q)])
+
     def jumps(self, rate: float) -> list[float]:
         """The marginals where the ceiling jumps to ``-inf``: the roots of
         ``min_info(q) = rate``. ``min_info`` is convex, least where the
         free rows' mean equals ``q``, so there are at most two; each is
-        found on its side of that point by Newton steps that fall back to
-        bisection."""
+        found on its side of that point by ``_scalar_root``."""
         if not 0.0 < self.mass < 1.0:
             return []
-        lo, mass = self.lo, self.mass
-
-        def gap(q):
-            share = min(max((q - lo) / mass, 0.0), 1.0)
-            return _h(q) - mass * _h(share) - rate
-
-        def slope(q):
-            share = min(max((q - lo) / mass, 0.0), 1.0)
-            if not (0 < share < 1 and 0 < q < 1):
-                return math.nan
-            return (math.log(share) - math.log1p(-share)
-                    - math.log(q) + math.log1p(-q))
-
-        bottom = min(max(lo / (1.0 - mass), lo), self.hi)
+        bottom = min(max(self.lo / (1.0 - self.mass), self.lo), self.hi)
         found = []
-        for a, b in ((lo, bottom), (self.hi, bottom)):
-            # gap is monotone on each side, so a root there needs gap(a) >
-            # 0 >= gap(b)
-            if not gap(a) > 0 >= gap(b):
-                continue
-            q = 0.5 * (a + b)
-            for _ in range(_STEPS):
-                g = gap(q)
-                if g > 0:
-                    a = q
-                else:
-                    b = q
-                step = q - g / slope(q) if g else q
-                if abs(step - q) <= 4 * math.ulp(q):
-                    break
-                q = step if min(a, b) < step < max(a, b) else 0.5 * (a + b)
-            found.append(q)
+        for a, b in ((self.lo, bottom), (self.hi, bottom)):
+            # the gap is monotone on each side, so a root there needs
+            # gap(a) > 0 >= gap(b)
+            if self._info(a) - rate > 0 >= self._info(b) - rate:
+                found.append(_scalar_root(lambda q: self._info(q) - rate,
+                                          self._info_slope, a, b))
         return found
+
+
+def _scalar_root(gap, slope, a: float, b: float) -> float:
+    """A root of ``gap`` between ``a`` and ``b``, where ``gap(a) > 0 >=
+    gap(b)``, by Newton steps on ``slope``, its derivative, that fall back
+    to bisection when they leave the bracket."""
+    q = 0.5 * (a + b)
+    for _ in range(_STEPS):
+        g = gap(q)
+        if g > 0:
+            a = q
+        else:
+            b = q
+        s = slope(q) if g else math.inf
+        step = q - g / s if s else math.nan
+        if abs(step - q) <= 4 * math.ulp(q):
+            break
+        q = step if min(a, b) < step < max(a, b) else 0.5 * (a + b)
+    return q
 
 
 def search(fibers: Fibers, tau: float, rate: float, t: float, q_s: float
@@ -368,4 +471,89 @@ def search(fibers: Fibers, tau: float, rate: float, t: float, q_s: float
             value = fibers.measures(np.array([q]), u[None])[0][0]
             if value < best_value:
                 best, best_value = u, value
+    return best
+
+
+def false_alarm(fibers: Fibers, tau: float, rate: float) -> np.ndarray:
+    """The rows of the least ``D(q || P_Y) + [I - rate]_+`` over the bulk
+    piece ``{D_m - D_c >= tau}`` (``tau <= 0``), which holds ``W``.
+
+    Per marginal the least cost comes from the least ``I`` over the fiber's
+    types with ``D_c <= D(q || P_Y) - tau`` (``Fibers.least_info``). That
+    cost is convex in ``q``, so ``_least`` finds its minimizer ``q*``, or it
+    is ``P_Y`` when the cost there is 0. When the least ``I`` at ``q*`` is
+    at most ``rate`` every type of the fiber with ``I <= rate`` and level at
+    least ``tau`` costs the same, and the one reported is the ceiling's
+    minimizer, the type of largest level. ``W`` itself is the answer when
+    its ``I`` is at most ``rate`` (cost 0), when it is the only type, and
+    when nothing found costs less (at ``tau = 0`` it may be all the
+    piece)."""
+    p_y = np.array([fibers.p_y[0]])
+    w_cost = fibers.measures(p_y, fibers.rows[fibers.free, 0][None])[1][0]
+    w_cost -= rate
+    if fibers.mass <= 0 or w_cost <= 0:
+        return np.array(fibers.rows)
+    if fibers.p.size == 1:
+        q = np.array([_point_false_alarm(fibers, tau, rate)])
+        return fibers.conditional(fibers._mean_rows(q)[0])
+
+    def cost(q):
+        d = fibers.divergence(q)
+        info, u = fibers.least_info(q, d - tau)
+        return d + np.maximum(info - rate, 0.0), info, u
+
+    value, info, u = cost(p_y)
+    q = p_y[0]
+    if value[0] > 0:
+        q = _least(lambda q: cost(q)[0], fibers.lo, fibers.hi, q)
+        value, info, u = cost(np.array([q]))
+    if not value[0] < w_cost:
+        return np.array(fibers.rows)
+    if info[0] <= rate:
+        return fibers.ceiling_conditional(q, rate)
+    return fibers.conditional(u[0])
+
+
+def _point_false_alarm(fibers: Fibers, tau: float, rate: float) -> float:
+    """``false_alarm``'s ``q*`` when the fiber is a point and the cost at
+    ``P_Y`` is positive. The cost ``D(q || P_Y) + [I - rate]_+`` is convex,
+    least at ``q_s``, the marginal with the free row at ``P_Y`` (the least
+    ``D(q || P_Y) + I``), when ``I`` there is at least ``rate``, and
+    otherwise where ``I = rate`` between ``q_s`` and ``P_Y``. The level
+    ``D_m - D_c`` is concave, 0 at ``P_Y``, so ``{level >= tau}`` is an
+    interval around ``P_Y``, and ``q*`` is the point of it nearest that
+    least point."""
+    p_y, mass = float(fibers.p_y[0]), fibers.mass
+    shift = float(fibers.log_p_y[0] - fibers.log_p_y[1])
+    logit = float(fibers.logit[0])
+
+    def level(q):
+        share = min(max((q - fibers.lo) / mass, 0.0), 1.0)
+        return (mass * (float(fibers.log_w1[0]) + share * logit)
+                - fibers._info(q) - float(fibers.log_p_y[1]) - q * shift)
+
+    q = fibers.lo + mass * p_y
+    if fibers._info(q) < rate:
+        q = _scalar_root(lambda q: fibers._info(q) - rate,
+                         fibers._info_slope, p_y, q)
+    if level(q) < tau:
+        q = _scalar_root(lambda q: tau - level(q),
+                         lambda q: fibers._info_slope(q) + shift - logit,
+                         q, p_y)
+    return q
+
+
+def _least(cost, lo: float, hi: float, start: float) -> float:
+    """The point of ``[lo, hi]`` where the convex ``cost`` (``+inf`` off
+    its domain, an interval that holds ``start``) is least: the best point
+    of a lattice of ``_LATTICE`` marginals and ``start``, then ``_ROUNDS``
+    times the best of a lattice over the two intervals next to it, with the
+    best point so far."""
+    points, best = np.linspace(lo, hi, _LATTICE), start
+    for _ in range(_ROUNDS + 1):
+        points = np.union1d(points, [best])
+        j = int(np.argmin(cost(points)))
+        best = float(points[j])
+        points = np.linspace(points[max(j - 1, 0)],
+                             points[min(j + 1, points.size - 1)], _LATTICE)
     return best

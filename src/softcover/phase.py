@@ -2,17 +2,19 @@
 threshold/rate phase grids built on top of the exponent solvers.
 
 Per rate, ``classify`` tags E_FA flat up to ``tau_flat``, the level of the
-floor minimizer the scan picked (on full-support channels E_FA can stay
-flat above it: ROADMAP item 6), and infinite above ``lambda_max``. It tags
-E_MD infinite at or below ``lambda_min``, the level minimum (at R > 0 the
-gate keeps E_MD infinite above it on full-support channels: ROADMAP item
-11), and zero from ``tau_star = max(0, I(X;Y) - R)``. Inside the active
-missed-detection region the minimizer switches from the bulk branch to the
-sparse branch at ``tau_kink``, and the unconstrained false-alarm minimizer
-switches branch at a critical rate (the cusp of ``tau_flat`` as a function
-of the rate). Both switch points are located by bisection on the reported
-branch tag, which is a crisp observable, rather than on noisy slope
-estimates.
+reported floor minimizer: on a two-output channel the type of largest
+level among the minimizers, so the top of the flat region; on three or
+more outputs the one the scan picked (on full-support channels E_FA can
+stay flat above it: ROADMAP item 6). It tags E_FA infinite above
+``lambda_max``, E_MD infinite at or below ``lambda_min``, the level minimum
+(at R > 0 the gate keeps E_MD infinite above it on full-support channels:
+ROADMAP item 11), and E_MD zero from ``tau_star = max(0, I(X;Y) - R)``.
+Inside the active missed-detection region the minimizer switches from the
+bulk branch to the sparse branch at ``tau_kink``, and the unconstrained
+false-alarm minimizer switches branch at a critical rate (the cusp of
+``tau_flat`` as a function of the rate). Both switch points are located by
+bisection on the reported branch tag, which is a crisp observable, rather
+than on noisy slope estimates.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ class PhaseReport:
 
 @dataclass(frozen=True)
 class FlatPoint:
-    """Unconstrained false-alarm minimum: its cost, the minimizer the scan
-    picked (the first in scan order on a tie), and its level, taken as the
-    flat-region boundary."""
+    """Unconstrained false-alarm minimum: its cost, the reported minimizer
+    (see ``tau_flat``), and its level, taken as the flat-region
+    boundary."""
 
     tau_flat: float
     fa_flat_value: float
@@ -119,10 +121,12 @@ def tau_flat(w: Channel, p_in: Distribution, rate: float,
              cfg: Optional[SolverConfig] = None) -> FlatPoint:
     """Unconstrained false-alarm minimizer, its cost, and its level.
 
-    When several candidates tie for the minimum (common away from singular
-    channels, where a whole segment of types has zero cost) the first one in
-    scan order is reported, and its level need not be the top of the flat
-    region.
+    Several types can tie for the minimum (common away from singular
+    channels, where a whole segment of types has zero cost). On a channel
+    with two outputs the reported one has the largest level among them, the
+    interference ceiling of its output marginal, so ``tau_flat`` is the top
+    of the flat region. On three or more outputs the first one in scan
+    order is reported, and its level need not be the top.
     """
     problem = Problem(w, p_in, rate, cfg)
     res = problem.fa(-math.inf)

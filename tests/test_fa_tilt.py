@@ -237,10 +237,12 @@ def test_no_grid_at_positive_tau_or_rate_zero(monkeypatch, zchannel, bsc,
         for tau in (-math.inf, -0.5, 0.0, 0.05):
             fa, md = r0_exponents(w, uniform2, tau)
             assert fa.feasible and md.value >= 0
+    # the patch does stop the grid: E_FA at R > 0 and tau <= 0 on three
+    # outputs still runs it (on two it is the search over marginals)
     with pytest.raises(AssertionError, match="grid solver"):
-        fa_exponent(zchannel, uniform2, -0.02, 0.05)
+        fa_exponent(Channel(SPARSE_2X3), uniform2, -0.02, 0.05, CFG17)
     with pytest.raises(AssertionError, match="grid solver"):
-        fa_exponent(zchannel, uniform2, 0.0, 0.05)
+        fa_exponent(Channel(SPARSE_2X3), uniform2, 0.0, 0.05, CFG17)
 
 
 W3X4 = [[0.5, 0.2, 0.2, 0.1], [0.1, 0.4, 0.3, 0.2], [0.2, 0.2, 0.1, 0.5]]

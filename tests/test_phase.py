@@ -65,6 +65,18 @@ def test_tau_flat_bsc_brute_force(bsc, uniform2):
     assert fp.tau_flat == pytest.approx(want_lam, abs=6e-3)
 
 
+@pytest.mark.parametrize("rate", [0.02, 0.05])
+def test_fa_flat_is_exactly_where_fa_is_at_its_floor(bsc, uniform2, rate):
+    # the flat region ends at the interference ceiling of P_Y, above the
+    # level of the zero-cost minimizer a scan happens to pick; the sweep
+    # has points between the two (-0.3125 and -0.21875)
+    report = phase_report(bsc, uniform2, rate, locate_kink=False)
+    for tau in np.linspace(-0.5, 0.0, 81).tolist():
+        flat = classify(tau, report)[0] is RegionTag.FA_FLAT
+        value = fa_exponent(bsc, uniform2, tau, rate).value
+        assert flat == (value <= report.fa_flat_value + 1e-9), (tau, value)
+
+
 def test_tau_flat_tends_to_zero_toward_mutual_information(bsc, uniform2):
     i_xy = mutual_information(JointType(uniform2, bsc.rows))
     values = [tau_flat(bsc, uniform2, f * i_xy).tau_flat

@@ -2,9 +2,10 @@
 
 (a) ``fa_exponent`` then ``md_exponent`` at one (channel, input, rate,
     configuration) and ``tau <= 0`` run one grid solve for the extrema
-    between them: the second call solves no extrema (on a two-output
-    channel gated ``md_exponent`` runs no grid solve at all). Another rate,
-    configuration or channel solves them anew.
+    between them: the second call runs only its own exponent solve, and an
+    infeasible one (``tau <= lambda_min``) none. Another rate, configuration
+    or channel solves them anew. (On two outputs neither exponent runs the
+    grid, so these checks use a channel with three.)
 (b) Threads that mix the solvers on shared keys against a memo small enough
     to evict get the single-threaded results and leave the stored entries
     unchanged.
@@ -76,45 +77,41 @@ def _solves_in(solves, call):
     return solves[0]
 
 
-def test_md_reuses_the_extrema_that_fa_solved(zchannel, uniform2, extrema,
-                                              solves):
-    assert fa_exponent(zchannel, uniform2, -0.03, 0.1).feasible
+def test_md_reuses_the_extrema_that_fa_solved(uniform2, extrema, solves):
+    w = Channel(SPARSE_2X3)
+    assert fa_exponent(w, uniform2, -0.03, 0.1).feasible
     assert solves[0] == 2  # the extrema, then E_FA
-    # gated E_MD on two outputs reads the stored level minimum and runs no
-    # grid solve of its own
     assert _solves_in(
-        solves, lambda: md_exponent(zchannel, uniform2, -0.03, 0.1)) == 0
+        solves, lambda: md_exponent(w, uniform2, -0.03, 0.1)) == 1
     # tau <= lambda_min: infeasible from the shared extrema alone
     assert _solves_in(solves, lambda: md_exponent(
-        zchannel, uniform2, -0.2, 0.1)) == 0
-    assert not md_exponent(zchannel, uniform2, -0.2, 0.1).feasible
+        w, uniform2, -0.2, 0.1)) == 0
+    assert not md_exponent(w, uniform2, -0.2, 0.1).feasible
     assert len(extrema._items) == 1
 
 
 @pytest.mark.parametrize("other", ["rate", "config", "channel"])
-def test_another_key_solves_the_extrema_anew(zchannel, uniform2, extrema,
-                                             solves, other):
-    fa_exponent(zchannel, uniform2, -0.03, 0.1)
-    w, rate, cfg = zchannel, 0.1, None
+def test_another_key_solves_the_extrema_anew(uniform2, extrema, solves,
+                                             other):
+    w, rate, cfg = Channel(SPARSE_2X3), 0.1, None
+    fa_exponent(w, uniform2, -0.03, rate)
     if other == "rate":
         rate = 0.1 + 1e-9
     elif other == "config":
-        cfg = SolverConfig(grid_points_per_dim=101)
+        cfg = CFG17
     else:
-        w = Channel([[1.0, 0.0], [0.45 + 1e-9, 0.55 - 1e-9]])
-    # the extrema only: gated E_MD on two outputs runs no grid solve
+        w = Channel([[0.6 + 1e-9, 0.4 - 1e-9, 0.0], [0.0, 0.3, 0.7]])
     assert _solves_in(solves,
-                     lambda: md_exponent(w, uniform2, -0.03, rate, cfg)) == 1
+                     lambda: md_exponent(w, uniform2, -0.03, rate, cfg)) == 2
     assert len(extrema._items) == 2
 
 
-def test_an_explicit_default_configuration_shares_the_key(zchannel,
-                                                          uniform2, extrema,
+def test_an_explicit_default_configuration_shares_the_key(uniform2, extrema,
                                                           solves):
-    fa_exponent(zchannel, uniform2, -0.03, 0.1)
+    w = Channel(SPARSE_2X3)
+    fa_exponent(w, uniform2, -0.03, 0.1)
     assert _solves_in(solves, lambda: md_exponent(
-        zchannel, uniform2, -0.03, 0.1,
-        exponents.default_config(zchannel))) == 0
+        w, uniform2, -0.03, 0.1, exponents.default_config(w))) == 1
 
 
 def test_stored_extrema_are_final_and_read_only(zchannel, uniform2,
@@ -180,9 +177,13 @@ def test_threads_sharing_an_evicting_memo_get_the_serial_results(
 # polish candidate lists that the shared lockstep solve replaced, and
 # re-recorded when gated E_MD on two outputs left the grid for the exact
 # search over output marginals (E_FA bytes unchanged; every E_MD value
-# dropped, by 3.5e-9 to 4.9e-6, with the same tag and feasibility)
+# dropped, by 3.5e-9 to 4.9e-6, with the same tag and feasibility), and
+# again when E_FA at tau <= 0 on two outputs left the grid too (E_MD bytes
+# unchanged; 135 E_FA values dropped, by 1.5e-10 to 4.9e-7, 65 kept their
+# bits, and 43 tags went from sparse to bulk where the minimizer lies on
+# I = R, which the grid's point missed by up to 7.4e-7)
 CELLS_DIGEST = \
-    "971a582ce5f84ba6ec9f2e6b09c7ce61eed16ed7842fbe59685c74fb896a616c"
+    "4a49e4f3fc45e004c69e30a03e3371b346da4c0ebe487aaebe48fe832e0b13c3"
 
 
 def _cells(count=200):

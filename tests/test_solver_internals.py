@@ -120,8 +120,10 @@ def _cached_sizes(memo):
 
 
 def test_bundle_cache_is_thread_safe_and_byte_bounded(
-        bsc, random_2x3_channels, uniform2, bundles, monkeypatch):
-    tasks = [(bsc, 0.1, None), (random_2x3_channels[2], -0.03, CFG17)]
+        random_2x3_channels, uniform2, bundles, monkeypatch):
+    # channels with three outputs: on two, neither exponent builds bundles
+    tasks = [(random_2x3_channels[0], 0.1, CFG17),
+             (random_2x3_channels[2], -0.03, CFG17)]
 
     def solve(task):
         w, tau, cfg = task
@@ -152,14 +154,17 @@ def test_bundle_cache_is_thread_safe_and_byte_bounded(
 
 
 def test_bundle_cache_skips_a_list_above_the_bound(
-        zchannel, bsc, uniform2, bundles, monkeypatch):
-    fa_exponent(zchannel, uniform2, -0.1, 0.1)
+        random_2x3_channels, uniform2, bundles, monkeypatch):
+    sparse = Channel([[0.6, 0.4, 0.0], [0.0, 0.3, 0.7]])
+    fa_exponent(sparse, uniform2, -0.1, 0.1, CFG17)
     small = sum(_cached_sizes(bundles))
     assert small > 0
-    # the BSC grid is far larger than the pruned Z-channel grid
+    # a full-support grid is far larger than the pruned one of a channel
+    # with structural zeros
     monkeypatch.setattr(bundles, "max_bytes", small)
-    want = fa_exponent(bsc, uniform2, -0.1, 0.1).value
-    assert fa_exponent(bsc, uniform2, -0.1, 0.1).value == want
+    w = random_2x3_channels[0]
+    want = fa_exponent(w, uniform2, -0.1, 0.1, CFG17).value
+    assert fa_exponent(w, uniform2, -0.1, 0.1, CFG17).value == want
     assert sum(_cached_sizes(bundles)) == small
 
 
@@ -217,13 +222,14 @@ def _count_calls(monkeypatch, owner, name, calls):
 
 
 @pytest.mark.parametrize("tau", [-0.06, 0.1])
-def test_fa_builds_one_bundle_per_stage_for_both_branches(zchannel, uniform2,
-                                                          monkeypatch, tau):
+def test_fa_builds_one_bundle_per_stage_for_both_branches(
+        random_2x3_channels, uniform2, monkeypatch, tau):
     # both branches are feasible at tau = -0.06: the seeds of both form one
     # bundle and each polish round one more, once the level extrema and the
     # base grid are cached. At tau = 0.1 the false-alarm tilt measures only
-    # its own minimizer and builds no bundle at all
-    problem = Problem(zchannel, uniform2, 0.05)
+    # its own minimizer and builds no bundle at all (a channel with three
+    # outputs: on two, E_FA runs no grid at any threshold)
+    problem = Problem(random_2x3_channels[0], uniform2, 0.05, CFG17)
     want = problem.fa(tau)
     calls = {"__init__": 0}
     _count_calls(monkeypatch, exponents._Bundle, "__init__", calls)
