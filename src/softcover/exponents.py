@@ -30,31 +30,30 @@ the output marginal of the bulk piece ``D_m - D_c >= tau``. The grid below
 serves both exponents at ``R > 0`` and ``tau <= 0`` and the interference
 level on channels with three or more outputs, and on every channel the
 level minima (``lambda_extrema``, the phase layer and the infinite edge of
-gated missed detection on three or more outputs) and the bulk branch's
-level maximum.
+gated missed detection on three or more outputs).
 
 The generic solver lays a dense grid over the free conditional coordinates
 (one simplex per input symbol), splits the non-smooth clipped rate term into
 the bulk branch (``I_Q <= R``) and the sparse branch (``I_Q >= R``), and
 polishes each branch's incumbent with successively shrunken boxes. Every
-solve runs several tasks in lockstep, each a (objective, branch) pair with
-its own seeds and its own boxes: the two branches of an exponent, or the
-four level extrema of a rate (the minimum over both branches and within
-each, and the bulk branch's maximum). Every block of candidates (the seeds
-of all tasks, each base-grid block, each polish round's boxes around all
-incumbents) is measured, masked and gated once, and each task then takes
-the argmin of its own objective on its own part under its own ``I_Q`` test.
+solve minimizes one objective for several tasks in lockstep, each a branch
+with its own seeds and its own boxes: the two branches of an exponent, or
+the three level minima of a rate (over both branches and within each).
+Every block of candidates (the seeds of all tasks, each base-grid block,
+each polish round's boxes around all incumbents) is measured, masked and
+gated once, and each task then takes the argmin on its own part under its
+own ``I_Q`` test.
 A polish round builds its candidates in one pass: one grid call for all
 boxes, one filter over all of them and one product per incumbent.
 ``Problem`` holds one (channel, input, rate, configuration) and solves both
-exponents, the level extrema and the interference level with one masked
+exponents, the level minima and the interference level with one masked
 argmin (``_scan``) and one shrinking-box loop (``_polish``); the public
 functions build one per call. The base-grid measure arrays do not depend on
 the rate or the threshold; they are kept per channel, input and grid in
 ``_BUNDLES``, a ``_memo.Memo`` (the package's one locked, byte-bounded LRU)
-of at most 256 MiB. The level extrema are kept per channel, input, rate and
+of at most 256 MiB. The level minima are kept per channel, input, rate and
 configuration in ``_EXTREMA``, another ``Memo`` of at most 64 KiB, so that
-the false-alarm and the missed-detection solve at one rate share them.
+the missed-detection solves and the phase layer at one rate share them.
 Joint types that violate the channel support carry an infinite conditional
 divergence and a level of ``-inf``, so they are never feasible; that is what
 produces the strictly positive false-alarm floor on singular channels such as
@@ -80,6 +79,7 @@ from . import marginals
 from ._memo import Memo
 from .measures import (
     SUPPORT_ATOL,
+    AlphabetMismatchError,
     Channel,
     Distribution,
     JointType,
@@ -344,28 +344,26 @@ def _masked(values: np.ndarray, feasible: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(masked), np.inf, masked)
 
 
-def _scan(blocks, objectives: Sequence, feasible,
+def _scan(blocks, objective, feasible,
           bests: list[Optional[_Incumbent]], narrow=None
           ) -> list[Optional[_Incumbent]]:
-    """Masked argmin over candidate blocks for several incumbents at once.
+    """Masked argmin of ``objective`` over candidate blocks for several
+    incumbents at once.
 
     ``blocks`` yields ``(block, parts)``: the block is anything with a
     ``cond`` array, and a part ``(k, lo, hi)`` hands its candidates
-    ``lo:hi`` to incumbent ``k``, which minimizes ``objectives[k]``.
-    ``feasible`` and each objective with a part in the block are evaluated
-    once per block; ``narrow(block, k, lo, hi)``, if given, returns a
-    further mask for the part of incumbent ``k``, or None. Per incumbent,
-    blocks are scanned in order: the first candidate wins a tie, and the
-    incumbent is replaced only on a strict improvement."""
+    ``lo:hi`` to incumbent ``k``. ``feasible`` and ``objective`` are
+    evaluated once per block; ``narrow(block, k, lo, hi)``, if given,
+    returns a further mask for the part of incumbent ``k``, or None. Per
+    incumbent, blocks are scanned in order: the first candidate wins a tie,
+    and the incumbent is replaced only on a strict improvement."""
     bests = list(bests)
     for block, parts in blocks:
         with np.errstate(invalid="ignore"):
             mask = feasible(block)
-            masked = {objective: _masked(objective(block), mask)
-                      for objective in dict.fromkeys(
-                          objectives[k] for k, _, _ in parts)}
+            masked = _masked(objective(block), mask)
         for k, lo, hi in parts:
-            part = masked[objectives[k]][lo:hi]
+            part = masked[lo:hi]
             keep = None if narrow is None else narrow(block, k, lo, hi)
             if keep is not None:
                 part = np.where(keep, part, np.inf)
@@ -424,27 +422,21 @@ def _level(b):
     return b.lam
 
 
-def _negated_level(b):
-    return -b.lam
-
-
-# the level extrema solved together per rate, as (objective, branch): the
-# minimum over both branches and within each, and the bulk branch's maximum,
-# the one maximum a solve reads (it seeds the false-alarm bulk branch)
-_EXTREMA_KEYS = ((_level, None), (_level, BULK), (_level, SPARSE),
-                 (_negated_level, BULK))
+# the branches whose level minimum is solved per rate, together: both
+# (None), then each on its own
+_EXTREMA_KEYS = (None, BULK, SPARSE)
 
 
 class _Extrema(NamedTuple):
-    """The level extrema of one (channel, input, rate, configuration) in the
+    """The level minima of one (channel, input, rate, configuration) in the
     order of ``_EXTREMA_KEYS``, read-only: the values, NaN where no type has
-    a finite level, and the extremal conditionals (the channel's there)."""
+    a finite level, and the minimizing conditionals (the channel's there)."""
 
     values: np.ndarray
     conds: np.ndarray
 
 
-_EXTREMA = Memo(1 << 16)  # 64 KiB of level extrema, a few hundred rates
+_EXTREMA = Memo(1 << 16)  # 64 KiB of level minima, a few hundred rates
 
 
 def _tilted(log_base: np.ndarray, info: np.ndarray, s: float):
@@ -557,18 +549,24 @@ def _fiber_rows(rows: np.ndarray, counts: np.ndarray) -> Iterator[np.ndarray]:
     return (cond for cond, _ in _joint_chunks(rows, counts))
 
 
+def _check_tau(tau: float) -> None:
+    """Reject a NaN threshold: every comparison with it is false."""
+    if math.isnan(tau):
+        raise ValueError(f"tau must be a number, got {tau}")
+
+
 class Problem:
     """Both exponent problems for one channel, input distribution, rate and
     solver configuration.
 
     On a channel with two outputs no exponent and no interference level
-    runs the grid; there only ``level_min`` and ``_bulk_max`` do. The
-    output marginal is derived once. The level extrema (the minima and
-    the bulk maximum), which seed the exponent solves, do not depend on the
-    threshold: the first request solves all of them at once and keeps them
-    in ``_EXTREMA`` per channel, input, rate and configuration, which every
-    instance shares, so ``fa_exponent`` and ``md_exponent`` at one rate
-    solve them once between them. The memo of the interference-ceiling
+    runs the grid; there only ``level_min`` does. The output marginal is
+    derived once. The level minima, which seed the gated missed-detection
+    solve and bound its feasibility, do not depend on the threshold: the
+    first request solves all three at once and keeps them in ``_EXTREMA``
+    per channel, input, rate and configuration, which every instance
+    shares, so ``md_exponent`` and ``lambda_extrema`` at one rate solve
+    them once between them. The memo of the interference-ceiling
     gate is the instance's own, so a threshold sweep should still build one
     instance per rate.
     """
@@ -660,23 +658,22 @@ class Problem:
             return bundles
         return _BUNDLES.get(key, lambda: tuple(bundles))
 
-    def _solve(self, feasible, tasks: Sequence[tuple]
+    def _solve(self, feasible, objective, tasks: Sequence[tuple]
                ) -> list[Optional[_Incumbent]]:
-        """Solve every task ``(objective, branch, seeds)`` in lockstep: the
-        minimum of ``objective`` over the ``feasible`` candidates of
-        ``branch`` (``BULK``, ``SPARSE``, or None for no mutual-information
-        test), seeded with the conditionals ``seeds``.
+        """Minimize ``objective`` over the ``feasible`` candidates for every
+        task ``(branch, seeds)`` in lockstep: within ``branch`` (``BULK``,
+        ``SPARSE``, or None for no mutual-information test), seeded with the
+        conditionals ``seeds``.
 
         The seeds of all tasks form one bundle, scanned first so that a
         seed wins all ties; then come the base grid and the polish rounds,
-        one box per task and input row. Each block's ``feasible`` and each
-        distinct objective are evaluated once for every task, and each task
+        one box per task and input row. Each block's ``feasible`` and
+        ``objective`` are evaluated once for every task, and each task
         applies only its own ``I_Q`` test to its own part. Returns one
         incumbent per task, None where nothing is feasible; such a task is
         not polished.
         """
-        objectives = [objective for objective, _, _ in tasks]
-        branches = [branch for _, branch, _ in tasks]
+        branches = [branch for branch, _ in tasks]
         rate = self.rate
 
         def in_branch(block, k, lo, hi):
@@ -686,8 +683,8 @@ class Problem:
                 return block.i_q[lo:hi] >= rate - _BRANCH_TOL
             return None
 
-        sizes = [len(seeds) for _, _, seeds in tasks]
-        seeded = [(self._rated(np.stack([s for _, _, seeds in tasks
+        sizes = [len(seeds) for _, seeds in tasks]
+        seeded = [(self._rated(np.stack([s for _, seeds in tasks
                                          for s in seeds])),
                    [(k, end - size, end) for k, (size, end) in
                     enumerate(zip(sizes, itertools.accumulate(sizes)))])]
@@ -695,13 +692,13 @@ class Problem:
         blocks = itertools.chain(
             seeded, ((b, [(k, 0, len(b.cond)) for k in range(len(tasks))])
                      for b in base))
-        bests = _scan(blocks, objectives, feasible, [None] * len(tasks),
+        bests = _scan(blocks, objective, feasible, [None] * len(tasks),
                       in_branch)
 
         def evaluate(rows, counts, bests):
             return _scan(((self._rated(cond), parts)
                           for cond, parts in _joint_chunks(rows, counts)),
-                         objectives, feasible, bests, in_branch)
+                         objective, feasible, bests, in_branch)
 
         inputs = np.arange(self.w.num_inputs)
         points = _refine_points(self.w.num_outputs,
@@ -710,16 +707,13 @@ class Problem:
                        self._outside(inputs))
 
     def _extrema(self) -> _Extrema:
-        """Every level extremum of ``_EXTREMA_KEYS``, from one lockstep
-        solve seeded with the channel, kept in ``_EXTREMA``."""
+        """The level minimum of every branch of ``_EXTREMA_KEYS``, from one
+        lockstep solve seeded with the channel, kept in ``_EXTREMA``."""
         def solve():
-            found = self._solve(_finite_level, [
-                (objective, branch, [self.w.rows])
-                for objective, branch in _EXTREMA_KEYS])
-            values = np.array([
-                math.nan if res is None else
-                res.value if objective is _level else -res.value
-                for (objective, _), res in zip(_EXTREMA_KEYS, found)])
+            found = self._solve(_finite_level, _level, [
+                (branch, [self.w.rows]) for branch in _EXTREMA_KEYS])
+            values = np.array([math.nan if res is None else res.value
+                               for res in found])
             conds = np.array([self.w.rows if res is None else res.cond
                               for res in found])
             values.setflags(write=False)
@@ -730,32 +724,20 @@ class Problem:
                self.cfg)
         return _EXTREMA.get(key, solve)
 
-    def _extremum(self, objective, branch: Optional[str]
-                  ) -> Optional[_Incumbent]:
-        """The stored extremum of ``_EXTREMA_KEYS`` entry ``(objective,
-        branch)``; None when no type has a finite level. The first request
-        solves every extremum of the rate at once (``_extrema``). The
-        returned conditional is read-only."""
-        extrema = self._extrema()
-        i = _EXTREMA_KEYS.index((objective, branch))
-        value = float(extrema.values[i])
-        return None if math.isnan(value) else _Incumbent(value,
-                                                         extrema.conds[i])
-
     def level_min(self, branch: Optional[str] = None
                   ) -> Optional[_Incumbent]:
         """Polished minimum of the level within one branch, None when no
         type of it has a finite level, or over both when ``branch`` is
         None: ``lambda_min``, never None, as the channel's own level is
         finite. Thin feasible slivers near these minima fall between base
-        grid points, so they seed the missed-detection solve."""
-        return self._extremum(_level, branch)
-
-    def _bulk_max(self) -> Optional[_Incumbent]:
-        """Polished maximum of the level within the bulk branch: just below
-        it the false-alarm feasible bulk types form a sliver that the base
-        grid can miss, so it seeds that branch."""
-        return self._extremum(_negated_level, BULK)
+        grid points, so they seed the missed-detection solve. The first
+        request solves the three minima of the rate at once (``_extrema``);
+        the returned conditional is read-only."""
+        extrema = self._extrema()
+        i = _EXTREMA_KEYS.index(branch)
+        value = float(extrema.values[i])
+        return None if math.isnan(value) else _Incumbent(value,
+                                                         extrema.conds[i])
 
     def _seeds(self, *extrema: Optional[_Incumbent]) -> list[np.ndarray]:
         return [self.w.rows] + [e.cond for e in extrema if e is not None]
@@ -792,8 +774,9 @@ class Problem:
         minimum to root-finding tolerance; the grid and ``cfg`` are not
         used. Otherwise (``R > 0``, ``tau <= 0``) ``_fa_marginals``
         answers exactly on a two-output channel, and on three or more
-        outputs the grid solver runs, its bulk branch seeded with the bulk
-        level maximum."""
+        outputs the grid solver runs, both branches seeded with ``W``. A
+        NaN ``tau`` raises ``ValueError``."""
+        _check_tau(tau)
         if tau > 0 or self.rate == 0:
             return self._fa_tilt(tau + self.rate)
         if self.w.num_outputs == 2:
@@ -803,8 +786,8 @@ class Problem:
             return np.isfinite(b.lam) & (b.lam >= tau)
 
         return self._result(*self._solve(
-            base, [(self._fa_cost, BULK, self._seeds(self._bulk_max())),
-                   (self._fa_cost, SPARSE, [self.w.rows])]))
+            base, self._fa_cost,
+            [(branch, [self.w.rows]) for branch in (BULK, SPARSE)]))
 
     def md(self, tau: float) -> ExponentResult:
         """Missed-detection exponent at threshold ``tau`` (see
@@ -817,7 +800,8 @@ class Problem:
         ``_md_marginals`` answers exactly on a two-output channel. On three
         or more outputs it is infinite at or below ``level_min()``, and
         above it the grid solver runs with the interference-ceiling
-        gate."""
+        gate. A NaN ``tau`` raises ``ValueError``."""
+        _check_tau(tau)
         if tau > 0 or self.rate == 0:
             return self._md_tilt(tau + self.rate)
         if self.w.num_outputs == 2:
@@ -835,8 +819,8 @@ class Problem:
             return mask
 
         return self._result(*self._solve(
-            base, [(_d_c, branch, self._seeds(self.level_min(branch), bottom))
-                   for branch in (BULK, SPARSE)]))
+            base, _d_c, [(branch, self._seeds(self.level_min(branch), bottom))
+                         for branch in (BULK, SPARSE)]))
 
     def _md_marginals(self, tau: float) -> ExponentResult:
         """Gated missed-detection exponent on a two-output channel, exactly
@@ -999,7 +983,7 @@ class Problem:
         fibers = (_fiber(fr, q_out, self._fiber_law, self.rate)
                   for fr in first_rows)
         return _scan(((f, [(0, 0, len(f.cond))]) for f in fibers),
-                     [_d_c], lambda f: f.feasible, [best])[0]
+                     _d_c, lambda f: f.feasible, [best])[0]
 
     def interference_level(self, q_out: np.ndarray) -> float:
         """Interference level of the output marginal ``q_out`` (see the
@@ -1155,7 +1139,13 @@ def interference_level(q_out: Distribution, w: Channel, p_in: Distribution,
     On three or more it uses the fiber parameterization (all conditional
     rows free except the last, which is solved from the marginal
     constraint) with the same shrinking-box polish as the exponent solvers.
+    An output law whose size is not the channel's output count raises
+    ``AlphabetMismatchError``.
     """
     if not rate > 0:
         raise ValueError(f"rate must be > 0, got {rate}")
+    if q_out.size != w.num_outputs:
+        raise AlphabetMismatchError(
+            f"output law size {q_out.size} does not match channel outputs "
+            f"{w.num_outputs}")
     return Problem(w, p_in, rate, cfg).interference_level(q_out.probs)

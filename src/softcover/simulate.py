@@ -169,6 +169,12 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def _check_tau(tau: float) -> None:
+    """Reject a NaN threshold, which would reject every output."""
+    if math.isnan(tau):
+        raise ValueError(f"tau must be a number, got {tau}")
+
+
 def _draw(words: np.ndarray, seed) -> np.ndarray:
     """A copy of ``words`` with each row shuffled on the PCG64 stream of
     ``seed``: codewords drawn uniformly from their type class."""
@@ -511,6 +517,7 @@ def group_error_probs(books: np.ndarray, composition: np.ndarray, w: Channel,
     per chunk of reachable outputs (but one codeword). Tables that do not
     depend on the codebooks are kept across calls in ``_TABLES``, a memo of
     at most 64 MiB."""
+    _check_tau(tau)
     trials, m, n = books.shape
     _check_budget(w.num_outputs, n)
     total = w.num_outputs ** n
@@ -630,6 +637,7 @@ def _r0_class_logs(n: int, w: Channel, p_in: Distribution, tau: float
     """Per joint type class of the rate-0 test: the log null mass of each
     accepted class and the log channel mass of each rejected one (see
     ``exact_r0_error_probs``)."""
+    _check_tau(tau)
     counts = quantized_composition(n, p_in)
     support = w.rows > 0
     classes = math.prod(math.comb(int(c) + int(s) - 1, int(s) - 1)
@@ -724,6 +732,7 @@ def per_trial_error_probs(n: int, rate: float, w: Channel,
     if rate < 0:
         raise ValueError(f"rate must be >= 0, got {rate}")
     _check_seed(seed)
+    _check_tau(tau)
     # the errors every trial would raise, before any table is built
     counts = quantized_composition(n, p_in)
     _check_budget(w.num_outputs, n)

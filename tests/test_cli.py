@@ -111,6 +111,27 @@ def test_exponent_rate_zero_uses_single_codeword_formulas(z_spec_file, capsys):
     assert payload["e_md"] == pytest.approx(0.11503133, abs=1e-4)
 
 
+@pytest.mark.parametrize("rate", ["0.1", "0"])
+def test_exponent_at_a_nan_threshold_is_an_input_error(z_spec_file, capsys,
+                                                       rate):
+    # it once printed a number with a bare NaN, which is not JSON
+    assert main(["exponent", "--spec", z_spec_file, "--tau", "nan",
+                 "--rate", rate]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tau must be a number, got nan\n"
+
+
+@pytest.mark.parametrize("rate", ["0.2", "0"])
+def test_simulate_at_a_nan_threshold_is_an_input_error(z_spec_file, tmp_path,
+                                                       capsys, rate):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--spec", z_spec_file, "--n", "8", "--rate",
+                 rate, "--tau", "nan", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: tau must be a number, got nan\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [["--grid", "0"]])
 def test_zero_solver_flags_are_input_errors(z_spec_file, capsys, flag):
     assert main(["exponent", "--spec", z_spec_file, "--tau", "0.1",

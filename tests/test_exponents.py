@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from softcover import (
+    AlphabetMismatchError,
     Channel,
     Distribution,
     JointType,
@@ -18,7 +19,6 @@ from softcover import (
     output_marginal,
     r0_exponents,
 )
-from softcover.exponents import Problem
 
 from _oracles import (
     bsc_scan_r0,
@@ -27,6 +27,8 @@ from _oracles import (
     zchannel_oracle_fa,
     zchannel_oracle_md,
 )
+
+SPARSE_2X3 = [[0.6, 0.4, 0.0], [0.0, 0.3, 0.7]]
 
 # frozen by independent dense scans over the channel-compatible slice
 Z_FLAT_R005 = 0.11079181
@@ -159,12 +161,27 @@ def test_feasibility_boundaries_match_level_extrema(zchannel, uniform2):
 @pytest.mark.parametrize("rate", [0.02, 0.05, 0.1, 0.3])
 def test_fa_reaches_zero_just_below_the_bulk_level_maximum(bsc, uniform2,
                                                           rate):
-    # the zero-cost bulk types with a level this close to the bulk maximum
-    # form a sliver between base grid points: only the bulk seed reaches
-    # it, and without that seed the sparse branch wins at about 3e-7
-    top = Problem(bsc, uniform2, rate)._bulk_max().value
+    # the zero-cost types are the bulk types with output marginal P_Y, and
+    # the largest level among them is the exact interference level of P_Y,
+    # the bulk level maximum (a polished grid's maximum lies 3e-7 to 9e-7
+    # below it): just below it E_FA is still 0, on the bulk branch
+    top = interference_level(output_marginal(uniform2, bsc), bsc, uniform2,
+                             rate)
     res = fa_exponent(bsc, uniform2, top - 1e-6, rate)
     assert res.value <= 1e-10 and res.branch == "bulk"
+
+
+@pytest.mark.parametrize("name", ["Z", "BSC", "SPARSE_2X3"])
+def test_a_nan_threshold_is_rejected(zchannel, bsc, uniform2, name):
+    # every comparison with NaN is false, so each path once returned a
+    # number of its own: +inf, or on the BSC's E_FA a finite 0.268
+    w = {"Z": zchannel, "BSC": bsc, "SPARSE_2X3": Channel(SPARSE_2X3)}[name]
+    cfg = SolverConfig(grid_points_per_dim=17)
+    for call in (lambda: fa_exponent(w, uniform2, math.nan, 0.1, cfg),
+                 lambda: md_exponent(w, uniform2, math.nan, 0.1, cfg),
+                 lambda: r0_exponents(w, uniform2, math.nan)):
+        with pytest.raises(ValueError, match="tau must be a number"):
+            call()
 
 
 # ------------------------------------------------------ Z-channel oracles
@@ -273,6 +290,16 @@ def test_interference_level_examples(zchannel, uniform2):
     assert val == pytest.approx(-0.00755256, abs=1e-6)
     with pytest.raises(ValueError):
         interference_level(q, zchannel, uniform2, 0.0)
+
+
+@pytest.mark.parametrize("outputs", [2, 3])
+def test_interference_level_rejects_an_output_law_of_another_size(
+        zchannel, uniform2, outputs):
+    w = zchannel if outputs == 2 else Channel(SPARSE_2X3)
+    q = Distribution.uniform(5 - outputs)
+    with pytest.raises(AlphabetMismatchError,
+                       match=f"{5 - outputs}.*{outputs}"):
+        interference_level(q, w, uniform2, 0.1)
 
 
 @pytest.mark.filterwarnings("error")

@@ -49,8 +49,8 @@ def _grid_fa(w, p_in, tau, rate, cfg):
     seeds."""
     problem = Problem(w, p_in, rate, cfg)
     found = problem._solve(
-        lambda b: np.isfinite(b.lam) & (b.lam >= tau),
-        [(problem._fa_cost, None, [w.rows])])[0]
+        lambda b: np.isfinite(b.lam) & (b.lam >= tau), problem._fa_cost,
+        [(None, [w.rows])])[0]
     return math.inf if found is None else found.value
 
 
@@ -208,7 +208,7 @@ def test_closed_form_level_maximum_meets_the_grid(zchannel, bsc, uniform2):
         for rate in (0.0, 0.05, 0.3):
             problem = Problem(w, uniform2, rate, cfg)
             top = problem._solve(lambda b: np.isfinite(b.lam),
-                                 [(lambda b: -b.lam, None, [w.rows])])[0]
+                                 lambda b: -b.lam, [(None, [w.rows])])[0]
             grid = -top.value
             closed = max(_i_max(w.rows, uniform2.probs) - rate, 0.0)
             assert grid == pytest.approx(closed, abs=1e-12)

@@ -206,51 +206,38 @@ def test_interference_level_on_zchannel(zchannel, uniform2):
     assert level == float("-inf")
 
 
-# The stored level extrema, which seed the exponent solves: the value and
-# the extremal conditional, for (minimum, branch), of each branch's minimum
-# (the E_MD seeds) and of the bulk maximum (the E_FA bulk seed). Z at
+# The stored level minima of each branch, which seed the gated E_MD
+# solves: the value and the minimizing conditional, keyed by branch. Z at
 # R = 0.3 lies above I(X;Y).
 LEVEL_EXTREMA = {
     ("Z", 0.05): {
-        (True, BULK): ("-0x1.3e2321fdf8a9cp-4",
-                       (Z_ONE, Z_ZERO, Z_ONE, Z_ZERO)),
-        (True, SPARSE): ("-0x1.854bd627f4536p-5",
-                         (Z_ONE, Z_ZERO, "0x1.b9db65ecc3e32p-1",
-                          "0x1.1892684cf073ap-3")),
-        (False, BULK): ("-0x1.854e3a7c92c30p-5",
-                        (Z_ONE, Z_ZERO, "0x1.b9dba908a265fp-1",
-                         "0x1.18915bdd76684p-3")),
+        BULK: ("-0x1.3e2321fdf8a9cp-4",
+               (Z_ONE, Z_ZERO, Z_ONE, Z_ZERO)),
+        SPARSE: ("-0x1.854bd627f4536p-5",
+                 (Z_ONE, Z_ZERO, "0x1.b9db65ecc3e32p-1",
+                  "0x1.1892684cf073ap-3")),
     },
     ("Z", 0.3): {
-        (True, BULK): ("-0x1.3e2321fdf8a9cp-4",
-                       (Z_ONE, Z_ZERO, Z_ONE, Z_ZERO)),
-        (True, SPARSE): ("-0x1.bc0cc49243bc0p-9",
-                         (Z_ONE, Z_ZERO, "0x1.70e2c12ad81aep-2",
-                          "0x1.478e9f6a93f29p-1")),
-        (False, BULK): (Z_ZERO,
-                        (Z_ONE, Z_ZERO, "0x1.ccccccccccccdp-2",
-                         "0x1.199999999999ap-1")),
+        BULK: ("-0x1.3e2321fdf8a9cp-4",
+               (Z_ONE, Z_ZERO, Z_ONE, Z_ZERO)),
+        SPARSE: ("-0x1.bc0cc49243bc0p-9",
+                 (Z_ONE, Z_ZERO, "0x1.70e2c12ad81aep-2",
+                  "0x1.478e9f6a93f29p-1")),
     },
     ("BSC", 0.05): {
-        (True, BULK): ("-0x1.cf0ba9006ba2fp-1",
-                       ("0x1.84167a95c853cp-2", "0x1.3df4c2b51bd62p-1",
-                        "0x1.622856605ee57p-1", "0x1.3baf533f42352p-2")),
-        (True, SPARSE): ("-0x1.a8d0ec4ba5a00p+0",
-                         (Z_ZERO, Z_ONE, Z_ONE, Z_ZERO)),
-        (False, BULK): ("-0x1.bb119a640cff5p-3",
-                        ("0x1.504577d955714p-1", "0x1.5f75104d551d7p-2",
-                         "0x1.5f748a159817cp-2", "0x1.5045baf533f42p-1")),
+        BULK: ("-0x1.cf0ba9006ba2fp-1",
+               ("0x1.84167a95c853cp-2", "0x1.3df4c2b51bd62p-1",
+                "0x1.622856605ee57p-1", "0x1.3baf533f42352p-2")),
+        SPARSE: ("-0x1.a8d0ec4ba5a00p+0",
+                 (Z_ZERO, Z_ONE, Z_ONE, Z_ZERO)),
     },
     ("SPARSE_2X3", 0.1): {
-        (True, BULK): ("-0x1.32e3d95d59100p-5",
-                       ("0x1.0a8c154c985f0p-2", "0x1.7ab9f559b3d08p-1",
-                        Z_ZERO, Z_ZERO, Z_ONE, Z_ZERO)),
-        (True, SPARSE): ("-0x1.32ec9264806e4p-5",
-                         ("0x1.0a94d242e6bdcp-2", "0x1.7ab596de8ca12p-1",
-                          Z_ZERO, Z_ZERO, Z_ONE, Z_ZERO)),
-        (False, BULK): ("0x1.0000000000000p-52",
-                        (Z_ZERO, Z_ONE, Z_ZERO, Z_ZERO,
-                         "0x1.8000000000000p-1", "0x1.0000000000000p-2")),
+        BULK: ("-0x1.32e3d95d59100p-5",
+               ("0x1.0a8c154c985f0p-2", "0x1.7ab9f559b3d08p-1",
+                Z_ZERO, Z_ZERO, Z_ONE, Z_ZERO)),
+        SPARSE: ("-0x1.32ec9264806e4p-5",
+                 ("0x1.0a94d242e6bdcp-2", "0x1.7ab596de8ca12p-1",
+                  Z_ZERO, Z_ZERO, Z_ONE, Z_ZERO)),
     },
 }
 
@@ -263,9 +250,7 @@ def test_level_extrema_per_branch(zchannel, bsc, uniform2, case, order):
     problem = Problem(w, uniform2, rate,
                       CFG17 if name == "SPARSE_2X3" else None)
     branches = [BULK, SPARSE] if order == "bulk first" else [SPARSE, BULK]
-    found = {(True, branch): problem.level_min(branch)
-             for branch in branches}
-    found[False, BULK] = problem._bulk_max()
+    found = {branch: problem.level_min(branch) for branch in branches}
     got = {key: (res.value.hex(),
                  tuple(float(v).hex() for v in res.cond.ravel()))
            for key, res in found.items()}

@@ -44,8 +44,8 @@ def _grid_md(w, p_in, tau, rate, cfg):
     polish over ``level <= tau`` seeded with the channel, no extrema seeds."""
     problem = Problem(w, p_in, rate, cfg)
     found = problem._solve(
-        lambda b: np.isfinite(b.d_c) & (b.lam <= tau),
-        [(lambda b: b.d_c, None, [w.rows])])[0]
+        lambda b: np.isfinite(b.d_c) & (b.lam <= tau), lambda b: b.d_c,
+        [(None, [w.rows])])[0]
     return math.inf if found is None else found.value
 
 

@@ -1,10 +1,12 @@
-"""The level extrema of a rate are solved once, in lockstep, and shared.
+"""The level minima of a rate are solved once, in lockstep, and shared.
 
-(a) ``fa_exponent`` then ``md_exponent`` at one (channel, input, rate,
-    configuration) and ``tau <= 0`` run one grid solve for the extrema
-    between them: the second call runs only its own exponent solve, and an
-    infeasible one (``tau <= lambda_min``) none. Another rate, configuration
-    or channel solves them anew. (On two outputs neither exponent runs the
+(a) ``lambda_extrema`` and gated ``md_exponent`` at one (channel, input,
+    rate, configuration) run one grid solve for the minima between them:
+    after the first, each ``md_exponent`` call at ``tau <= 0`` runs only
+    its own exponent solve, and an infeasible one (``tau <=
+    lambda_min``) none. Another rate, configuration or channel solves them
+    anew. ``fa_exponent`` at ``tau <= 0`` reads no level minimum: it runs
+    one solve and stores nothing. (On two outputs no exponent runs the
     grid, so these checks use a channel with three.)
 (b) Threads that mix the solvers on shared keys against a memo small enough
     to evict get the single-threaded results and leave the stored entries
@@ -19,6 +21,7 @@
 
 import concurrent.futures
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -77,10 +80,11 @@ def _solves_in(solves, call):
     return solves[0]
 
 
-def test_md_reuses_the_extrema_that_fa_solved(uniform2, extrema, solves):
+def test_md_reuses_the_minima_that_lambda_extrema_solved(uniform2, extrema,
+                                                        solves):
     w = Channel(SPARSE_2X3)
-    assert fa_exponent(w, uniform2, -0.03, 0.1).feasible
-    assert solves[0] == 2  # the extrema, then E_FA
+    lambda_extrema(w, uniform2, 0.1)
+    assert solves[0] == 1
     assert _solves_in(
         solves, lambda: md_exponent(w, uniform2, -0.03, 0.1)) == 1
     # tau <= lambda_min: infeasible from the shared extrema alone
@@ -90,11 +94,19 @@ def test_md_reuses_the_extrema_that_fa_solved(uniform2, extrema, solves):
     assert len(extrema._items) == 1
 
 
+def test_fa_runs_one_solve_and_stores_nothing(uniform2, extrema, solves):
+    w = Channel(SPARSE_2X3)
+    for tau in (-0.03, 0.0, -math.inf):
+        assert _solves_in(
+            solves, lambda: fa_exponent(w, uniform2, tau, 0.1)) == 1
+    assert not extrema._items
+
+
 @pytest.mark.parametrize("other", ["rate", "config", "channel"])
 def test_another_key_solves_the_extrema_anew(uniform2, extrema, solves,
                                              other):
     w, rate, cfg = Channel(SPARSE_2X3), 0.1, None
-    fa_exponent(w, uniform2, -0.03, rate)
+    md_exponent(w, uniform2, -0.03, rate)
     if other == "rate":
         rate = 0.1 + 1e-9
     elif other == "config":
@@ -109,7 +121,7 @@ def test_another_key_solves_the_extrema_anew(uniform2, extrema, solves,
 def test_an_explicit_default_configuration_shares_the_key(uniform2, extrema,
                                                           solves):
     w = Channel(SPARSE_2X3)
-    fa_exponent(w, uniform2, -0.03, 0.1)
+    md_exponent(w, uniform2, -0.03, 0.1)
     assert _solves_in(solves, lambda: md_exponent(
         w, uniform2, -0.03, 0.1, exponents.default_config(w))) == 1
 
@@ -117,15 +129,16 @@ def test_an_explicit_default_configuration_shares_the_key(uniform2, extrema,
 def test_stored_extrema_are_final_and_read_only(zchannel, uniform2,
                                                 extrema):
     problem = Problem(zchannel, uniform2, 0.05)
-    low = problem.level_min(exponents.BULK)
-    high = problem._bulk_max()
+    low = problem.level_min(BULK)
+    high = problem.level_min(SPARSE)
     # asking again, from a new instance, returns the same stored floats
     again = Problem(zchannel, uniform2, 0.05)
-    assert again.level_min(exponents.BULK).value == low.value
-    assert again._bulk_max().value == high.value
+    assert again.level_min(BULK).value == low.value
+    assert again.level_min(SPARSE).value == high.value
     assert low.value < high.value < 0
-    with pytest.raises(ValueError):
-        high.cond[0, 0] = 0.5
+    for stored in (low, high):
+        with pytest.raises(ValueError):
+            stored.cond[0, 0] = 0.5
 
 
 def _digest(res):

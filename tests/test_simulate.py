@@ -766,6 +766,27 @@ def test_every_entry_point_rejects_a_negative_seed(entry, seed, bsc,
     assert str(info.value) == f"seed must be >= 0, got {seed}"
 
 
+@pytest.mark.parametrize("entry", ["exact-r0", "exact-r0-log",
+                                   "monte-carlo", "one-codebook"])
+def test_a_nan_threshold_fails_before_any_table(entry, bsc, uniform2,
+                                                monkeypatch):
+    # NaN compares false with every statistic, so each path once accepted
+    # no output and returned alpha = 0, beta = 1
+    memo = Memo(1 << 20)
+    monkeypatch.setattr(simulate, "_TABLES", memo)
+    with pytest.raises(ValueError, match="tau must be a number, got nan"):
+        if entry == "exact-r0":
+            exact_r0_error_probs(8, bsc, uniform2, math.nan)
+        elif entry == "exact-r0-log":
+            exact_r0_log_error_probs(8, bsc, uniform2, math.nan)
+        elif entry == "monte-carlo":
+            estimate_error_probs(8, 0.05, bsc, uniform2, math.nan, 4, 1)
+        else:
+            exact_error_probs(sample_codebook(8, 0.05, uniform2, 1), bsc,
+                              output_marginal(uniform2, bsc), math.nan)
+    assert memo.bytes == 0 and not memo._items
+
+
 @pytest.mark.parametrize("trials", [0, -3])
 def test_monte_carlo_needs_a_trial(trials, zchannel, uniform2):
     with pytest.raises(ValueError, match="trials must be >= 1"):

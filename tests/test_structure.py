@@ -10,6 +10,9 @@
     every cache goes through its one LRU type.
 (e) Every third-party package that the tests or the benchmark import is
     declared in ``pyproject.toml``.
+(f) Every private name that a package module defines at module or class
+    level is read somewhere in the package: a helper left behind, or one
+    that only the tests call, does not stay.
 """
 
 import ast
@@ -131,3 +134,41 @@ def test_third_party_imports_of_tests_and_benchmark_are_declared():
                     for top in (name.split(".")[0] for name in names)
                     if top not in sys.stdlib_module_names | local | declared]
     assert not offenders, f"undeclared third-party imports: {offenders}"
+
+
+def _definitions(body):
+    """The names that the statements of ``body`` bind."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def test_every_private_name_is_read_in_the_package():
+    defined, read = [], set()
+    for path in MODULES:
+        tree = _tree(path)
+        bodies = [tree.body] + [node.body for node in tree.body
+                                if isinstance(node, ast.ClassDef)]
+        defined += [(path.name, name, line) for body in bodies
+                    for name, line in _definitions(body)
+                    if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and not isinstance(
+                    node.ctx, ast.Store):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = [f"{module}:{line} {name}" for module, name, line in defined
+              if name not in read]
+    assert not unread, f"private names never read in the package: {unread}"
