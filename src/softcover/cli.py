@@ -254,7 +254,8 @@ def cmd_exponent(args) -> int:
     bits = args.bits
     tau = _unit_in(args.tau, bits)
     rate = _unit_in(args.rate, bits)
-    payload: dict = {"tau": args.tau, "rate": args.rate,
+    payload: dict = {"tau": json_value(args.tau),
+                     "rate": json_value(args.rate),
                      "units": "bits" if bits else "nats"}
     problem = Problem(w, p_in, rate, cfg)
     requested = []
@@ -375,7 +376,7 @@ def cmd_simulate(args) -> int:
         "rate_nominal": args.rate,
         "realized_m": m,
         "realized_rate": _unit_out(realized_rate, bits),
-        "tau": args.tau,
+        "tau": json_value(args.tau),
         "mode": args.mode,
         "trials": len(pairs),
         "seed": args.seed,
@@ -386,7 +387,7 @@ def cmd_simulate(args) -> int:
     if args.mode == "exact-r0":
         # the logs stay finite where alpha or beta underflows to 0.0
         summary["log_alpha"], summary["log_beta"] = (
-            _unit_out(v, bits)
+            json_value(_unit_out(v, bits))
             for v in exact_r0_log_error_probs(args.n, w, p_in, tau))
     print(json.dumps(summary, indent=2))
     return 0

@@ -47,8 +47,9 @@ logit W(0|x)``, where ``b`` meets the marginal and is a monotone scalar root.
 The ceiling's minimizer has ``a = 1 / (1 + s)`` in (0, 1], ``s >= 0`` the
 multiplier of ``I <= R``, and ``I`` rises with ``a``; ``F_t``'s has ``a <=
 1``, and ``E_V[i]`` rises with ``a``; ``J``'s has ``a`` in [0, 1], where
-``D_c`` falls as ``a`` rises. With one free row, as on the Z-channel, the
-fiber is a point and everything is closed form.
+``D_c`` falls as ``a`` rises. ``Fibers._walk`` is the one search in ``a``
+for all three. With one free row, as on the Z-channel, the fiber is a point
+and everything is closed form.
 """
 
 from __future__ import annotations
@@ -223,44 +224,47 @@ class Fibers:
         out = np.full(q.shape, -np.inf)
         inside = self.min_info(q) <= rate
         q_in = q[inside]
-        d_c = self.measures(q_in, self._mean_rows(q_in))[0]
-        mid = (q_in > self.lo) & (q_in < self.hi)
-        if mid.any():
-            d_c[mid] = self._ceiling_divergence(q_in[mid], rate)
+        d_c = self.measures(q_in, self._ceiling_rows(q_in, rate))[0]
         out[inside] = self.divergence(q_in) - d_c
         return out
 
-    def _ceiling_divergence(self, q: np.ndarray, rate: float) -> np.ndarray:
-        """``min {D_c : P V = q, I <= rate}`` inside the range, where the
-        fiber's least ``I`` is at most ``rate``: at ``a = 1`` when its
-        ``I`` is at most ``rate``, otherwise at the root of ``I(a) =
-        rate``."""
-        one = np.ones(q.shape)
-        u, b, _, _ = self._family(q, one, np.zeros(q.shape))
-        d_c, i_q, _ = self.measures(q, u)
-        bind = i_q > rate
+    def _ceiling_rows(self, q: np.ndarray, rate: float) -> np.ndarray:
+        """The free rows of ``argmin {D_c : P V = q, I <= rate}`` where the
+        fiber holds a type with ``I <= rate``: at the mean when the fiber is
+        a point, otherwise the family at ``a = 1``, walked to ``I = rate``
+        where its ``I`` exceeds ``rate``."""
+        u = np.array(self._mean_rows(q))
+        mid = (q > self.lo) & (q < self.hi)
+        if self.p.size < 2 or not mid.any():
+            return u
+        qm = q[mid]
+        v, b, _, _ = self._family(qm, np.ones(qm.shape), np.zeros(qm.shape))
+        bind = self.measures(qm, v)[1] > rate
         if bind.any():
-            qb = q[bind]
-            d_c[bind] = self.measures(qb, self._info_rows(qb, b[bind],
-                                                          rate))[0]
-        return d_c
+            qb = qm[bind]
 
-    def _info_rows(self, q: np.ndarray, start: np.ndarray, rate: float
-                   ) -> np.ndarray:
-        """The family's free rows at the slope ``a`` in (0, 1) where ``I =
-        rate``, inside the range where ``I`` exceeds ``rate`` at ``a = 1``;
-        ``start`` holds the offsets ``b`` of ``a = 1``."""
+            def gap(v):
+                log_v, log_v1 = _logs(v)
+                return self.measures(qb, v)[1] - rate, log_v - log_v1
+
+            v[bind] = self._walk(qb, gap, np.ones(qb.shape),
+                                 np.zeros(qb.shape), b[bind])
+        u[mid] = v
+        return u
+
+    def _walk(self, q: np.ndarray, gap, a: np.ndarray, lo: np.ndarray,
+              start: np.ndarray) -> np.ndarray:
+        """The family's free rows at the root in ``[lo, 1]`` of ``gap``, a
+        rising function of the slope, from ``a`` with the offsets ``start``.
+        ``gap(u)`` returns the constraint less its target and each row's
+        factor ``f_x`` in the slope ``sum_x p_x f_x du_x/da``."""
         def fn(a):
             nonlocal start
             u, start, db, weight = self._family(q, a, start)
-            # dI/da = sum_x p_x logit(u_x) du_x/da
-            log_u, log_u1 = _logs(u)
-            slope = (weight * (log_u - log_u1)
-                     * (self.logit + db[..., None])).sum(axis=-1)
-            return self.measures(q, u)[1] - rate, slope
+            g, factor = gap(u)
+            return g, (weight * factor * (self.logit + db[..., None])).sum(-1)
 
-        one = np.ones(q.shape)
-        a = _root(fn, one, np.zeros(q.shape), one)
+        a = _root(fn, a, lo, np.ones(q.shape))
         return self._family(q, a, start)[0]
 
     def divergence(self, q: np.ndarray) -> np.ndarray:
@@ -274,17 +278,8 @@ class Fibers:
         return rows
 
     def ceiling_conditional(self, q: float, rate: float) -> np.ndarray:
-        """The rows of ``argmin {D_c : P V = q, I <= rate}``, at a marginal
-        of the range whose fiber holds a type with ``I <= rate``: the type
-        at the mean when the fiber is a point, otherwise the family at ``a
-        = 1`` or at the root of ``I(a) = rate``."""
-        qa = np.array([q])
-        if self.p.size < 2 or not self.lo < q < self.hi:
-            return self.conditional(self._mean_rows(qa)[0])
-        u, b, _, _ = self._family(qa, np.ones(1), np.zeros(1))
-        if self.measures(qa, u)[1][0] > rate:
-            u = self._info_rows(qa, b, rate)
-        return self.conditional(u[0])
+        """The rows of ``argmin {D_c : P V = q, I <= rate}`` at ``q``."""
+        return self.conditional(self._ceiling_rows(np.array([q]), rate)[0])
 
     def least_info(self, q: np.ndarray, cap: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -306,20 +301,14 @@ class Fibers:
         ok = self.measures(qb, top)[0] <= cb
         if not ok.any():
             return info, u
-        qb, cb, start, bind = qb[ok], cb[ok], start[ok], bind[ok]
+        qb, cb, bind = qb[ok], cb[ok], bind[ok]
 
-        def fn(a):
-            nonlocal start
-            v, start, db, weight = self._family(qb, a, start)
-            # dD_c/da = sum_x p_x (logit(v_x) - l_x) dv_x/da
+        def gap(v):
+            # D_c falls as a rises (its factor is logit(v_x) - l_x)
             log_v, log_v1 = _logs(v)
-            slope = (weight * (log_v - log_v1 - self.logit)
-                     * (self.logit + db[..., None])).sum(axis=-1)
-            return cb - self.measures(qb, v)[0], -slope
+            return cb - self.measures(qb, v)[0], self.logit - (log_v - log_v1)
 
-        one = np.ones(qb.shape)
-        a = _root(fn, one, np.zeros(qb.shape), one)
-        u[bind] = self._family(qb, a, start)[0]
+        u[bind] = self._walk(qb, gap, one[ok], np.zeros(qb.shape), start[ok])
         info[bind] = self.measures(qb, u[bind])[1]
         return info, u
 
@@ -354,15 +343,10 @@ class Fibers:
         else:
             return floor
 
-        def fn(a):
-            nonlocal start
-            u, start, db, weight = self._family(qa, a, start)
-            # dE/da = sum_x p_x c_x du_x/da
-            slope = (weight * self.c * (self.logit + db[..., None])).sum(-1)
-            return self.measures(qa, u)[2] - t, slope
+        def gap(u):
+            return self.measures(qa, u)[2] - t, self.c
 
-        a = _root(fn, low, low, np.ones(1))
-        return self._family(qa, a, start)[0][0]
+        return self._walk(qa, gap, low, low, start)[0]
 
     def _info(self, q: float) -> float:
         """``min_info`` of one marginal, without the clip at 0: the ``I``

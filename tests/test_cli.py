@@ -132,6 +132,34 @@ def test_simulate_at_a_nan_threshold_is_an_input_error(z_spec_file, tmp_path,
     assert not out.exists()
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("tau", ["-inf", "inf"])
+def test_an_infinite_threshold_prints_strict_json(tmp_path, capsys, tau):
+    # the threshold, the rate and the logs of the exact sums were once
+    # echoed as a bare Infinity, which strict JSON parsers reject
+    spec = tmp_path / "bsc.channel"
+    spec.write_text(BSC_SPEC)
+    out = str(tmp_path / "sim.csv")
+    assert main(["exponent", "--spec", str(spec), f"--tau={tau}",
+                 "--rate", "0.1"]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["tau"] == tau
+    assert main(["exponent", "--spec", str(spec), "--tau", "-0.1",
+                 "--rate=inf", "--which", "fa"]) == 0
+    assert _strict_json(capsys.readouterr().out)["rate"] == "inf"
+    for mode in (["--rate", "0", "--mode", "exact-r0"],
+                 ["--rate", "0.2", "--trials", "3"]):
+        assert main(["simulate", "--spec", str(spec), "--n", "8",
+                     f"--tau={tau}", "--out", out] + mode) == 0
+        payload = _strict_json(capsys.readouterr().out)
+        assert payload["tau"] == tau
+
+
 @pytest.mark.parametrize("flag", [["--grid", "0"]])
 def test_zero_solver_flags_are_input_errors(z_spec_file, capsys, flag):
     assert main(["exponent", "--spec", z_spec_file, "--tau", "0.1",

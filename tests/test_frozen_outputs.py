@@ -30,6 +30,7 @@ level rose by 3.8e-8 from the fiber grid's -0.11973245 to the exact
 the grid's arithmetic).
 """
 
+import numpy as np
 import pytest
 
 from softcover import (
@@ -297,3 +298,79 @@ def test_gated_md_with_both_branches_live(zchannel, uniform2):
     assert _hex(md_exponent(zchannel, uniform2, -0.02, 0.05)) == (
         "0x1.22edf9bb491d1p-3", "sparse",
         (Z_ONE, Z_ZERO, "0x1.a1c57300cdc37p-1", "0x1.78ea33fcc8f23p-3"))
+
+
+# Two-output channels with two and three free rows, whose exponents at
+# R > 0 and tau <= 0 come from the Newton walks of ``marginals.Fibers``:
+# every cell of each channel runs the walk to I = R (the ceiling), the
+# gated E_MD cells also the walk to E_V[i] = t, and the positive E_FA
+# cells the walk to D_c = cap. The BSC's E_FA at tau = -0.3 is 0, reached
+# at P_Y, and reports the ceiling's minimizer there.
+C3X2 = [[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]]
+
+TWO_OUTPUT_CELLS = {
+    ("BSC", "md", -0.3): (
+        "0x1.077f678ff89cap-1", "bulk",
+        ("0x1.de3116afa83d9p-1", "0x1.0e774a82be138p-4",
+         "0x1.64a2cc5ca0a66p-1", "0x1.36ba6746beb34p-2")),
+    ("BSC", "fa", -0.3): (
+        Z_ZERO, "bulk",
+        ("0x1.5045ad7b2f2cep-1", "0x1.5f74a509a1a64p-2",
+         "0x1.5f74a509a1a63p-2", "0x1.5045ad7b2f2cep-1")),
+    ("BSC", "fa", -0.1): (
+        "0x1.4ddca1227a486p-5", "sparse",
+        ("0x1.6b61d52f7e9a7p-1", "0x1.293c55a102cb3p-2",
+         "0x1.293c55a102cb3p-2", "0x1.6b61d52f7e9a7p-1")),
+    ("3x2", "md", -0.05): (
+        "0x1.8ca0a02bc7e1ap-3", "bulk",
+        ("0x1.8e423f525db1fp-2", "0x1.38dee056d1270p-1",
+         "0x1.66d80205ab79ap-3", "0x1.a649ff7e9521ap-1",
+         "0x1.f2f660e9d4aabp-3", "0x1.834267c58ad55p-1")),
+    ("3x2", "fa", -0.02): (
+        "0x1.fcfef651256ecp-9", "sparse",
+        ("0x1.5af0ace388a32p-1", "0x1.4a1ea638eeb9bp-2",
+         "0x1.a8e9e9a8b3a46p-2", "0x1.2b8b0b2ba62ddp-1",
+         "0x1.08c683b818c01p-1", "0x1.ee72f88fce7ffp-2")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_OUTPUT_CELLS))
+def test_two_output_exponents_with_free_rows(bsc, uniform2, case):
+    name, which, tau = case
+    if name == "BSC":
+        w, p_in, rate = bsc, uniform2, 0.05
+    else:
+        w, p_in, rate = Channel(C3X2), Distribution([1 / 3, 1 / 3, 1 / 3]), 0.02
+    solve = md_exponent if which == "md" else fa_exponent
+    assert _hex(solve(w, p_in, tau, rate)) == TWO_OUTPUT_CELLS[case]
+
+
+def test_interference_level_on_3x2():
+    level = interference_level(Distribution([0.3, 0.7]), Channel(C3X2),
+                               Distribution([1 / 3, 1 / 3, 1 / 3]), 0.05)
+    assert level.hex() == "-0x1.c33004f9f6e60p-6"
+
+
+# J(q) = min {I : P V = q, D_c <= D(q || P_Y) + 0.1}, where the cap binds:
+# the walk to D_c = cap. E_FA barely reads it (its minimizer has J <= R, so
+# the cells above come out the same when the walk is perturbed), so these
+# entries guard the walk itself.
+LEAST_INFO = {
+    "BSC": ([0.45, 0.6], ["0x1.030fcaefa6270p-3", "0x1.19337357cd8b8p-3"]),
+    "3x2": ([0.2, 0.3, 0.45], ["0x1.ebbcf5ea52200p-11",
+                               "0x1.54a90f47c3000p-12",
+                               "0x1.f7c14a4220000p-16"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAST_INFO))
+def test_least_info_where_the_cap_binds(bsc, uniform2, name):
+    if name == "BSC":
+        problem = Problem(bsc, uniform2, 0.05)
+    else:
+        problem = Problem(Channel(C3X2), Distribution([1 / 3, 1 / 3, 1 / 3]),
+                          0.05)
+    fibers = problem._fibers
+    q = np.array(LEAST_INFO[name][0])
+    info, _ = fibers.least_info(q, fibers.divergence(q) + 0.1)
+    assert [float(v).hex() for v in info] == LEAST_INFO[name][1]

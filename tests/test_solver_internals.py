@@ -10,6 +10,10 @@
 (c) The gate derives the fiber row of the last input with positive mass.
 (d) The bulk and sparse branches are solved in lockstep: one bundle and one
     gate lookup per block for both, and the block size changes no output.
+(e) The fibers of a two-output channel (``marginals.Fibers``) handle the
+    ends of their searches: ``least_divergence`` is None just below the
+    least ``E_V[i]`` of the fiber, and the ceiling's minimizer at either
+    end of the range of marginals is every free row at the mean.
 """
 
 import concurrent.futures
@@ -25,6 +29,7 @@ from softcover import (
     fa_exponent,
     lambda_extrema,
     md_exponent,
+    output_marginal,
 )
 from softcover import exponents
 from softcover._memo import Memo, _nbytes
@@ -305,3 +310,35 @@ def test_row_grid_boxes_equal_per_box_linspace_grids():
                                     free[keep]])
             assert box.shape == want.shape
             assert (box.view(np.int64) == want.view(np.int64)).all()
+
+
+def test_least_divergence_is_none_below_the_fiber_floor(bsc, uniform2):
+    # at q = 0.3 the least E_V[i] of the BSC's fiber fills the input of
+    # lower logit first: V(0|0) = 0, V(0|1) = 0.6
+    fibers = Problem(bsc, uniform2, 0.05)._fibers
+    info = np.log(bsc.rows / output_marginal(uniform2, bsc).probs)
+    floor = 0.5 * (np.array([[0.0, 1.0], [0.6, 0.4]]) * info).sum()
+    assert fibers.least_divergence(0.3, floor - 1e-9) is None
+    u = fibers.least_divergence(0.3, floor + 1e-9)
+    assert fibers.measures(np.array([0.3]), u[None])[2][0] <= floor + 1e-9
+
+
+@pytest.mark.parametrize("rows, p_in", [
+    ([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5]),
+    ([[1.0, 0.0], [0.3, 0.7], [0.5, 0.5]], [1 / 3, 1 / 3, 1 / 3]),
+])
+def test_ceiling_minimizer_at_the_ends_of_the_range(rows, p_in):
+    w, p = Channel(rows), Distribution(p_in)
+    rate = 0.7  # above the I of both ends' types
+    fibers = Problem(w, p, rate)._fibers
+    p_y = output_marginal(p, w).probs
+    free = w.rows.min(axis=1) > 0
+    for q, share in ((fibers.lo, 0.0), (fibers.hi, 1.0)):
+        cond = fibers.ceiling_conditional(q, rate)
+        assert (cond[free] == [share, 1.0 - share]).all()
+        assert (cond[~free] == w.rows[~free]).all()
+        d_c = sum(p.probs[x] * kl_vec(cond[x], w.rows[x])
+                  for x in range(len(rows)))
+        expected = kl_vec(np.array([q, 1.0 - q]), p_y) - d_c
+        assert fibers.ceiling(np.array([q]), rate)[0] == pytest.approx(
+            expected, abs=1e-12)

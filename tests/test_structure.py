@@ -13,6 +13,9 @@
 (f) Every private name that a package module defines at module or class
     level is read somewhere in the package: a helper left behind, or one
     that only the tests call, does not stay.
+(g) The two-output fibers have one search in the family's offset and one
+    in its slope: in ``marginals.py`` only ``_family`` and ``_walk`` call
+    ``_root``.
 """
 
 import ast
@@ -172,3 +175,27 @@ def test_every_private_name_is_read_in_the_package():
     unread = [f"{module}:{line} {name}" for module, name, line in defined
               if name not in read]
     assert not unread, f"private names never read in the package: {unread}"
+
+
+def _callers(tree, name):
+    """The innermost function around each call of the bare name ``name``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == name):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return sorted(found)
+
+
+def test_marginals_has_one_search_in_the_family_slope():
+    callers = _callers(_tree(PACKAGE / "marginals.py"), "_root")
+    # exactly: a rule that counts nothing would pass on any search
+    assert callers == ["_family", "_walk"], f"_root called from {callers}"
